@@ -12,9 +12,11 @@ cap exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
+import logging
 import sys
 from dataclasses import replace
 from importlib.metadata import version as _pkg_version
@@ -35,7 +37,7 @@ from .randomization import (
     enumerate_sequences,
 )
 from .rng import substream
-from .simulate import run_table_block, scenario_from_dict, scenario_to_dict
+from .simulate import run_table_block, scenario_from_dict, scenario_to_dict, spec_from_dict
 from .glm import SEP_NONE
 
 EXIT_OK = 0
@@ -78,19 +80,6 @@ def _default_workers() -> int:
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def _spec_from_config(cfg: dict) -> RandomizationSpec:
-    grid = DoseGrid(doses=tuple(cfg["doses"]))
-    return RandomizationSpec(
-        procedure=cfg["procedure"],
-        grid=grid,
-        n=int(cfg["n"]),
-        targets=tuple(cfg["targets"]) if "targets" in cfg else None,
-        block=tuple(cfg["block"]) if "block" in cfg else None,
-        probs=tuple(cfg["probs"]) if "probs" in cfg else None,
-        weights=tuple(cfg["weights"]) if "weights" in cfg else None,
-    )
 
 
 def _candidates_from_config(cfg: dict):
@@ -138,22 +127,15 @@ def _cmd_simulate(args) -> int:
         return EXIT_INVALID
 
     payload = scenario_to_dict(config)
-    prov = provenance(payload, config.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     workers = args.workers or _default_workers()
-    block = run_table_block(config, workers=workers, progress=args.progress)
+    with _progress_to_stderr(args.progress):
+        block = run_table_block(config, workers=workers, progress=args.progress)
     rows = block.rows()
-    csv_path = out / f"{config.name}_table.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# config_sha256={prov['config_sha256']} seed={config.seed}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-    summary = {
-        "provenance": prov,
+    _write_study(out, config.name, {
+        "provenance": provenance(payload, config.seed),
         "config": payload,
         "results": {
             "table": rows,
@@ -172,10 +154,7 @@ def _cmd_simulate(args) -> int:
                 m.method_id: m.mean_runtime_s for m in block.alternative.methods
             },
         },
-    }
-    json_path = out / f"{config.name}_summary.json"
-    json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {csv_path} and {json_path}")
+    })
     return EXIT_OK
 
 
@@ -186,7 +165,7 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
     from .simulate import simulate_from_potential_outcomes
 
     try:
-        spec = _spec_from_config(cfg)
+        spec = spec_from_dict(cfg)
         table_path = Path(cfg["potential_outcomes"])
         if not table_path.is_absolute():
             table_path = Path(args.config).parent / table_path
@@ -214,28 +193,26 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    prov = provenance(cfg, seed)
-    result = simulate_from_potential_outcomes(
-        table, spec, methods, candidates, alpha=alpha, n_sim=n_sim, seed=seed,
-        include_baseline_covariate=bool(cfg.get("include_baseline_covariate", True)),
-        sort_by_baseline=bool(cfg.get("sort_by_baseline", False)),
-        name=name, workers=args.workers or _default_workers(),
-        progress=args.progress,
-    )
+    try:
+        with _progress_to_stderr(args.progress):
+            result = simulate_from_potential_outcomes(
+                table, spec, methods, candidates, alpha=alpha, n_sim=n_sim, seed=seed,
+                include_baseline_covariate=bool(cfg.get("include_baseline_covariate", True)),
+                sort_by_baseline=bool(cfg.get("sort_by_baseline", False)),
+                name=name, workers=args.workers or _default_workers(),
+                progress=args.progress,
+            )
+    except ValueError as exc:
+        print(f"simulate: invalid potential-outcomes configuration: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     rows = [{
         "test": m.number,
         "method": m.method_id,
         "rejection_rate_pct": round(100 * m.rejection_rate, 2),
         "mcse_pct": round(100 * m.mcse, 3),
     } for m in result.methods]
-    csv_path = out / f"{name}_po_table.csv"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# config_sha256={prov['config_sha256']} seed={seed}\n")
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    summary = {
-        "provenance": prov,
+    _write_study(out, f"{name}_po", {
+        "provenance": provenance(cfg, seed),
         "config": cfg,
         "results": {
             "table": rows,
@@ -245,11 +222,39 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
             "diagnostics": {m.method_id: m.diagnostics for m in result.methods},
         },
         "timing": {m.method_id: m.mean_runtime_s for m in result.methods},
-    }
-    json_path = out / f"{name}_po_summary.json"
+    })
+    return EXIT_OK
+
+
+def _write_study(out: Path, stem: str, summary: dict) -> None:
+    """Write ``summary`` as JSON and its results table as CSV, hash and seed first."""
+    prov = summary["provenance"]
+    rows = summary["results"]["table"]
+    csv_path = out / f"{stem}_table.csv"
+    with open(csv_path, "w", newline="") as fh:
+        fh.write(f"# config_sha256={prov['config_sha256']} seed={prov['seed']}\n")
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+    json_path = out / f"{stem}_summary.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path} and {json_path}")
-    return EXIT_OK
+
+
+@contextlib.contextmanager
+def _progress_to_stderr(enabled):
+    """Send the ``randmcp.simulate`` progress log to stderr while a study runs."""
+    logger = logging.getLogger("randmcp.simulate")
+    handler = logging.StreamHandler(sys.stderr)
+    level = logger.level
+    if enabled:
+        logger.addHandler(handler)
+        logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +264,7 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
 def _cmd_analyze(args) -> int:
     try:
         cfg = _load_json(args.config)
-        spec = _spec_from_config(cfg)
+        spec = spec_from_dict(cfg)
         candidates = _candidates_from_config(cfg)
         method_id = args.method or cfg.get("method", "residual_firth")
         if method_id not in METHOD_IDS:
@@ -352,7 +357,7 @@ def _cmd_contrasts(args) -> int:
         elif "covariance" in cfg:
             matrix = contrast_matrix(candidates, grid, covariance=np.asarray(cfg["covariance"]))
         else:
-            spec = _spec_from_config(cfg)
+            spec = spec_from_dict(cfg)
             matrix = contrast_matrix(candidates, grid, arm_sizes=spec.expected_arm_sizes())
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"contrasts: invalid configuration: {exc}", file=sys.stderr)
@@ -377,7 +382,7 @@ def _resolve_spec(args) -> RandomizationSpec:
         raise ValueError("give exactly one of --preset or --config")
     if args.preset:
         return load_preset(args.preset).spec
-    return _spec_from_config(_load_json(args.config))
+    return spec_from_dict(_load_json(args.config))
 
 
 def _cmd_counts(args) -> int:
@@ -436,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--workers", type=int, default=None,
                      help="worker processes (default: $RANDMCP_WORKERS or the CPU count)")
     sim.add_argument("--progress", type=int, default=None,
-                     help="print progress every N trials")
+                     help="log progress every N trials to stderr")
     sim.set_defaults(func=_cmd_simulate)
 
     ana = sub.add_parser("analyze", help="analyze one trial CSV")

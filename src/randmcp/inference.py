@@ -233,6 +233,11 @@ def _normalize_contrasts(c: np.ndarray, mu0s: np.ndarray) -> np.ndarray:
     return c * np.where(sign == 0, 1.0, sign)[:, :, None]
 
 
+def _arm_counts(arms_matrix: np.ndarray, k: int) -> np.ndarray:
+    """Patients per arm in every assignment row: integers of shape (B, k)."""
+    return np.stack([(arms_matrix == j).sum(axis=1) for j in range(k)], axis=1)
+
+
 def residual_statistics_batch(
     residual: np.ndarray,
     arms_matrix: np.ndarray,
@@ -252,7 +257,7 @@ def residual_statistics_batch(
     """
     b, n = arms_matrix.shape
     r = np.asarray(residual, dtype=float)
-    counts = np.stack([(arms_matrix == j).sum(axis=1) for j in range(k)], axis=1).astype(float)
+    counts = _arm_counts(arms_matrix, k).astype(float)
     sums = np.stack([np.where(arms_matrix == j, r[None, :], 0.0).sum(axis=1) for j in range(k)], axis=1)
     sqs = np.stack([np.where(arms_matrix == j, r[None, :] ** 2, 0.0).sum(axis=1) for j in range(k)], axis=1)
     valid = np.all(counts >= 2, axis=1)
@@ -337,8 +342,7 @@ def _draw_valid_sequences(
     need = n_rand
     for _ in range(_MAX_REDRAW_ROUNDS):
         batch = sample_sequences(spec, need, rng)
-        counts = np.stack([(batch == j).sum(axis=1) for j in range(spec.k)], axis=1)
-        ok = np.all(counts >= min_arm, axis=1)
+        ok = np.all(_arm_counts(batch, spec.k) >= min_arm, axis=1)
         redraws += int(np.sum(~ok))
         rows.append(batch[ok])
         need -= int(np.sum(ok))
@@ -347,6 +351,62 @@ def _draw_valid_sequences(
     raise DegenerateVarianceError(
         f"could not draw {n_rand} sequences with every arm >= {min_arm} patients"
     )
+
+
+def _randomization_statistic(
+    data: TrialDataset,
+    spec: RandomizationSpec,
+    method: TestMethod,
+    candidates: CandidateSet,
+    track_separation: bool = False,
+):
+    """Checks and set-up shared by the Monte Carlo and the exact test.
+
+    Returns ``(evaluate, labels, min_arm, residual_fit, diagnostics)``.
+    ``evaluate(arms_matrix)`` is the method's statistic batch function
+    with everything else fixed; ``min_arm`` is the smallest arm it is
+    defined for; ``residual_fit`` is None for the refit statistic;
+    ``diagnostics`` flags an observed sequence outside the reference set.
+    """
+    if not method.is_randomization:
+        raise ValueError("use population_test for the population-based method")
+    if data.n != spec.n:
+        raise ValueError(f"dataset has {data.n} patients but the procedure expects {spec.n}")
+    if data.grid.doses != spec.grid.doses:
+        raise ValueError("dataset and randomization grids differ")
+    diagnostics: dict = {}
+    if not is_member(spec, data.arms):
+        warnings.warn("observed sequence is not a member of the declared reference set")
+        diagnostics["observed_not_in_reference_set"] = True
+
+    if method.statistic == "residual":
+        obs_counts = data.arm_sizes()
+        if np.any(obs_counts < 2):
+            raise DegenerateVarianceError(
+                f"observed data has an arm with < 2 patients: {obs_counts.tolist()}"
+            )
+        fit, residual = fit_residual_model(data, method.estimator)
+        fixed = residual_design_contrasts(spec, candidates)
+        mu0s, labels = shape_matrix(candidates, data.grid)
+
+        def evaluate(arms_matrix):
+            return residual_statistics_batch(
+                residual, arms_matrix, data.grid.k,
+                contrasts=fixed, mu0s=None if fixed is not None else mu0s,
+            )
+        return evaluate, labels, 2, fit, diagnostics
+
+    frozen = None
+    if method.freeze_contrasts:
+        frozen = contrast_matrix(candidates, data.grid, arm_sizes=spec.expected_arm_sizes())
+    _, labels = shape_matrix(candidates, data.grid)
+
+    def evaluate(arms_matrix):
+        return glm_statistics_batch(
+            data, arms_matrix, candidates, estimator=method.estimator,
+            frozen_contrasts=frozen, track_separation=track_separation,
+        )
+    return evaluate, labels, 1, None, diagnostics
 
 
 def randomization_test(
@@ -365,59 +425,31 @@ def randomization_test(
     The plain p-value rule divides by ``n_rand`` exactly; the add-one
     rule returns ``(1 + count) / (1 + n_rand)`` and can never be zero.
     """
-    if not method.is_randomization:
-        raise ValueError("use population_test for the population-based method")
-    _check_spec(data, spec)
-    diagnostics: dict = {}
-    if not is_member(spec, data.arms):
-        warnings.warn("observed sequence is not a member of the declared reference set")
-        diagnostics["observed_not_in_reference_set"] = True
-
-    min_arm = 2 if method.statistic == "residual" else 1
+    evaluate, labels, min_arm, fit, diagnostics = _randomization_statistic(
+        data, spec, method, candidates, track_separation=True,
+    )
     if sequences is None:
         sequences, redraws = _draw_valid_sequences(spec, method.n_rand, rng, min_arm)
         if redraws:
             diagnostics["redrawn_sequences"] = redraws
     elif spec.procedure == CR:
-        counts = np.stack([(sequences == j).sum(axis=1) for j in range(spec.k)], axis=1)
-        bad = ~np.all(counts >= min_arm, axis=1)
+        bad = ~np.all(_arm_counts(sequences, spec.k) >= min_arm, axis=1)
         if np.any(bad):
             extra, redraws = _draw_valid_sequences(spec, int(bad.sum()), rng, min_arm)
             sequences = np.concatenate([sequences[~bad], extra], axis=0)
             diagnostics["redrawn_sequences"] = int(bad.sum()) + redraws
-
-    arms_all = np.concatenate([data.arms[None, :], sequences], axis=0)
-    if method.statistic == "residual":
-        obs_counts = data.arm_sizes()
-        if np.any(obs_counts < 2):
-            raise DegenerateVarianceError(
-                f"observed data has an arm with < 2 patients: {obs_counts.tolist()}"
-            )
-        fit, residual = fit_residual_model(data, method.estimator)
+    if fit is not None:
         diagnostics["residual_fit"] = {
             "estimator": fit.estimator, "iterations": fit.iterations,
             "separation": fit.separation,
         }
-        fixed = residual_design_contrasts(spec, candidates)
-        mu0s, labels = shape_matrix(candidates, data.grid)
-        stats, t_matrix, c_labels, diag = residual_statistics_batch(
-            residual, arms_all, data.grid.k,
-            contrasts=fixed, mu0s=None if fixed is not None else mu0s,
-        )
-        labels = c_labels if c_labels is not None else labels
-    else:
-        frozen = None
-        if method.freeze_contrasts:
-            frozen = contrast_matrix(candidates, data.grid, arm_sizes=spec.expected_arm_sizes())
-        stats, t_matrix, labels, diag = glm_statistics_batch(
-            data, arms_all, candidates, estimator=method.estimator,
-            frozen_contrasts=frozen, track_separation=method.estimator == "mle",
-        )
-        codes = diag.pop("separation_codes", None)
-        if codes is not None:
-            names = {0: glm.SEP_NONE, 1: glm.SEP_QUASI, 2: glm.SEP_COMPLETE}
-            diag["observed_separation"] = names[int(codes[0])]
-            diag["separated_refits"] = int(np.sum(codes[1:] > 0))
+
+    stats, t_matrix, _, diag = evaluate(np.concatenate([data.arms[None, :], sequences], axis=0))
+    codes = diag.pop("separation_codes", None)
+    if codes is not None:
+        names = {0: glm.SEP_NONE, 1: glm.SEP_QUASI, 2: glm.SEP_COMPLETE}
+        diag["observed_separation"] = names[int(codes[0])]
+        diag["separated_refits"] = int(np.sum(codes[1:] > 0))
     diagnostics.update(diag)
 
     s_obs = stats[0]
@@ -456,40 +488,10 @@ def exact_randomization_pvalue(
     excluded and the remaining probabilities renormalized; the excluded
     mass is reported in the diagnostics.
     """
-    if not method.is_randomization:
-        raise ValueError("use population_test for the population-based method")
-    _check_spec(data, spec)
-    min_arm = 2 if method.statistic == "residual" else 1
-
-    if method.statistic == "residual":
-        obs_counts = data.arm_sizes()
-        if np.any(obs_counts < 2):
-            raise DegenerateVarianceError(
-                f"observed data has an arm with < 2 patients: {obs_counts.tolist()}"
-            )
-        fit, residual = fit_residual_model(data, method.estimator)
-        fixed = residual_design_contrasts(spec, candidates)
-        mu0s, labels = shape_matrix(candidates, data.grid)
-
-        def stat_fn(arms_matrix):
-            return residual_statistics_batch(
-                residual, arms_matrix, data.grid.k,
-                contrasts=fixed, mu0s=None if fixed is not None else mu0s,
-            )[:2]
-    else:
-        frozen = None
-        if method.freeze_contrasts:
-            frozen = contrast_matrix(candidates, data.grid, arm_sizes=spec.expected_arm_sizes())
-        mu0s, labels = shape_matrix(candidates, data.grid)
-
-        def stat_fn(arms_matrix):
-            out = glm_statistics_batch(
-                data, arms_matrix, candidates,
-                estimator=method.estimator, frozen_contrasts=frozen,
-            )
-            return out[0], out[1]
-
-    s_obs_arr, t_obs = stat_fn(data.arms[None, :])
+    evaluate, labels, min_arm, _, diagnostics = _randomization_statistic(
+        data, spec, method, candidates,
+    )
+    s_obs_arr, t_obs, _, _ = evaluate(data.arms[None, :])
     s_obs = float(s_obs_arr[0])
 
     mass_geq = 0.0
@@ -505,11 +507,10 @@ def exact_randomization_pvalue(
             return
         arms_matrix = np.stack(buf, axis=0)
         pvec = np.array(probs)
-        counts = np.stack([(arms_matrix == j).sum(axis=1) for j in range(spec.k)], axis=1)
-        ok = np.all(counts >= min_arm, axis=1)
+        ok = np.all(_arm_counts(arms_matrix, spec.k) >= min_arm, axis=1)
         mass_excluded += float(pvec[~ok].sum())
         if np.any(ok):
-            stats, _ = stat_fn(arms_matrix[ok])
+            stats = evaluate(arms_matrix[ok])[0]
             pv = pvec[ok]
             mass_valid += float(pv.sum())
             mass_geq += float(pv[stats >= s_obs].sum())
@@ -527,11 +528,11 @@ def exact_randomization_pvalue(
     if mass_valid <= 0:
         raise DegenerateVarianceError("every reference-set sequence was degenerate")
     p_value = mass_geq / mass_valid
-    diagnostics = {
+    diagnostics.update({
         "reference_set_size": total,
         "excluded_probability_mass": mass_excluded,
         "exact": True,
-    }
+    })
     return TestOutcome(
         method=method,
         statistic=s_obs,
@@ -540,13 +541,6 @@ def exact_randomization_pvalue(
         p_value=float(min(max(p_value, 0.0), 1.0)),
         diagnostics=diagnostics,
     )
-
-
-def _check_spec(data: TrialDataset, spec: RandomizationSpec) -> None:
-    if data.n != spec.n:
-        raise ValueError(f"dataset has {data.n} patients but the procedure expects {spec.n}")
-    if data.grid.doses != spec.grid.doses:
-        raise ValueError("dataset and randomization grids differ")
 
 
 # ---------------------------------------------------------------------------

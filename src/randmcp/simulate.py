@@ -11,7 +11,9 @@ batch of re-randomization sequences per trial.
 """
 from __future__ import annotations
 
+import logging
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,8 +41,12 @@ from .rng import substream
 
 # Substream domains: one per independent random ingredient of a trial.
 _GEN, _RERAND, _QMC = 0, 1, 2
+# Per-trial method diagnostics that a study sums over its trials.
+_SUMMED_DIAGNOSTICS = ("separated_refits", "nonconverged_refits", "redrawn_sequences")
 
 TIME_TRENDS = ("none", "linear")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,10 @@ class StudyResult:
         raise KeyError(method_id)
 
 
+# ---------------------------------------------------------------------------
+# The trial engine shared by power studies and potential-outcome replay
+# ---------------------------------------------------------------------------
+
 def _trial_diagnostics(data: TrialDataset, covariate_in_analysis: bool) -> dict:
     """Separation state of the analysis design plus degenerate-arm flags."""
     k = data.grid.k
@@ -203,7 +213,7 @@ def _run_methods_on_trial(
     seed: int,
     trial: int,
 ) -> dict[str, tuple[float, float, dict]]:
-    """p-value, runtime and diagnostics per method, sharing one sequence batch."""
+    """p-value, runtime and refit counters per method, sharing one sequence batch."""
     shared: np.ndarray | None = None
     n_rand = max((m.n_rand for m in methods if m.is_randomization), default=0)
     if n_rand:
@@ -221,39 +231,79 @@ def _run_methods_on_trial(
                 rng=substream(seed, _RERAND, trial, method.number),
                 sequences=seqs,
             )
-        out[method.id] = (res.p_value, time.perf_counter() - start, res.diagnostics)
+        runtime = time.perf_counter() - start
+        counts = {key: res.diagnostics[key] for key in _SUMMED_DIAGNOSTICS
+                  if key in res.diagnostics}
+        out[method.id] = (res.p_value, runtime, counts)
     return out
 
 
-def _binary_trial_range(config: ScenarioConfig, lo: int, hi: int, progress=None):
-    """Run trials [lo, hi) of a study; the worker unit for parallel runs."""
-    methods = config.methods
-    p_values = {m.id: np.empty(hi - lo) for m in methods}
-    runtimes = {m.id: 0.0 for m in methods}
-    agg: dict[str, dict] = {m.id: {} for m in methods}
-    sep_counts = {"complete": 0, "quasicomplete": 0, "placebo_degenerate": 0,
-                  "any_arm_degenerate": 0}
-    for trial in range(lo, hi):
+@dataclass(frozen=True)
+class _BinaryTrials:
+    """Trial ``i`` of a binary scenario: its analysis data and separation flags."""
+
+    config: ScenarioConfig
+
+    def __call__(self, trial: int) -> tuple[TrialDataset, dict]:
+        config = self.config
         data = generate_binary_trial(config, substream(config.seed, _GEN, trial))
         diag = _trial_diagnostics(data, config.covariate_in_analysis)
         code = diag.get("separation_code", 0)
-        sep_counts["complete"] += code == 2
-        sep_counts["quasicomplete"] += code == 1
-        sep_counts["placebo_degenerate"] += diag["placebo_degenerate"]
-        sep_counts["any_arm_degenerate"] += diag["any_arm_degenerate"]
-        analysis = data if config.covariate_in_analysis else data.without_covariates()
-        results = _run_methods_on_trial(
-            analysis, config.spec, methods, config.candidates, config.seed, trial
-        )
-        for mid, (p, rt, d) in results.items():
-            p_values[mid][trial - lo] = p
-            runtimes[mid] += rt
-            for key in ("separated_refits", "nonconverged_refits", "redrawn_sequences"):
-                if key in d:
-                    agg[mid][key] = agg[mid].get(key, 0) + d[key]
+        flags = {
+            "mle_nonexistent": code > 0,
+            "complete": code == 2,
+            "quasicomplete": code == 1,
+            "placebo_degenerate": diag["placebo_degenerate"],
+            "any_arm_degenerate": diag["any_arm_degenerate"],
+        }
+        return (data if config.covariate_in_analysis else data.without_covariates()), flags
+
+
+@dataclass(frozen=True)
+class _ReplayTrials:
+    """Trial ``i`` of a replay: row j reveals patient j's outcome under their arm."""
+
+    table: PotentialOutcomeTable
+    spec: RandomizationSpec
+    covariates: np.ndarray
+    seed: int
+
+    def __call__(self, trial: int) -> tuple[TrialDataset, dict]:
+        arms = sample_sequence(self.spec, substream(self.seed, _GEN, trial))
+        outcomes = self.table.outcomes[np.arange(self.table.n), arms]
+        return TrialDataset(arms=arms, outcomes=outcomes, covariates=self.covariates,
+                            grid=self.spec.grid, endpoint=self.table.endpoint), {}
+
+
+@dataclass(frozen=True)
+class _Study:
+    """What every trial of one study shares; each worker receives it whole.
+
+    ``trials(i)`` returns trial i's analysis dataset and a dict of 0/1
+    flags, whose rates over the trials become the study's ``separation``.
+    """
+
+    name: str
+    trials: Callable[[int], tuple[TrialDataset, dict]]
+    spec: RandomizationSpec
+    methods: tuple[TestMethod, ...]
+    candidates: CandidateSet
+    seed: int
+    n_sim: int
+    alpha: float
+
+
+def _trial_range(study: _Study, lo: int, hi: int, progress=None) -> list[tuple[dict, dict]]:
+    """Flags and per-method results of trials [lo, hi); the worker unit."""
+    out = []
+    for trial in range(lo, hi):
+        data, flags = study.trials(trial)
+        out.append((flags, _run_methods_on_trial(
+            data, study.spec, study.methods, study.candidates, study.seed, trial
+        )))
         if progress and (trial + 1) % progress == 0:
-            print(f"[{config.name}] {trial + 1}/{config.n_sim} trials", flush=True)
-    return lo, p_values, runtimes, agg, sep_counts
+            _log.info("[%s] %d/%d trials", study.name, trial + 1, study.n_sim)
+    return out
 
 
 def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
@@ -261,78 +311,73 @@ def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + per, n)) for lo in range(0, n, per)]
 
 
-def run_power_study(config: ScenarioConfig, workers: int = 1, progress=None) -> StudyResult:
-    """Simulate ``n_sim`` trials and tabulate each method's rejection rate.
+def _run_study(study: _Study, workers: int, progress, **fields) -> StudyResult:
+    """Run every trial of a study and summarize each method.
 
     Per-trial RNG substreams make the result identical for any worker
-    count; chunks are merged back in trial order.
+    count; chunks are merged back in trial order.  ``progress`` logs
+    every that many trials on one worker, and each finished chunk on
+    several.  ``fields`` fill the rest of the :class:`StudyResult`.
     """
-    methods = config.methods
-    if workers > 1 and config.n_sim > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    n = study.n_sim
+    if n < 1:
+        raise ValueError("n_sim must be positive")
+    if not 0.0 < study.alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if workers > 1 and n > 1:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        ranges = _chunk_ranges(config.n_sim, workers)
+        chunks, done = {}, 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = sorted(
-                pool.map(_binary_trial_range_star,
-                         [(config, lo, hi) for lo, hi in ranges]),
-                key=lambda part: part[0],
-            )
+            futures = {pool.submit(_trial_range, study, lo, hi): lo
+                       for lo, hi in _chunk_ranges(n, workers)}
+            for future in as_completed(futures):
+                chunk = chunks[futures[future]] = future.result()
+                done += len(chunk)
+                if progress:
+                    _log.info("[%s] %d/%d trials", study.name, done, n)
+        trials = [t for lo in sorted(chunks) for t in chunks[lo]]
     else:
-        parts = [_binary_trial_range(config, 0, config.n_sim, progress=progress)]
+        trials = _trial_range(study, 0, n, progress)
 
-    p_values = {m.id: np.concatenate([part[1][m.id] for part in parts]) for m in methods}
-    runtimes = {m.id: sum(part[2][m.id] for part in parts) for m in methods}
-    agg: dict[str, dict] = {m.id: {} for m in methods}
-    sep_counts = {"complete": 0, "quasicomplete": 0, "placebo_degenerate": 0,
-                  "any_arm_degenerate": 0}
-    for part in parts:
-        for mid, d in part[3].items():
+    summaries, p_values = [], {}
+    for m in study.methods:
+        results = [by_method[m.id] for _, by_method in trials]
+        p_values[m.id] = np.array([p for p, _, _ in results])
+        counts: dict = {}
+        for _, _, d in results:
             for key, val in d.items():
-                agg[mid][key] = agg[mid].get(key, 0) + val
-        for key, val in part[4].items():
-            sep_counts[key] += val
-
-    n = config.n_sim
-    summaries = []
-    for m in methods:
-        rate = float(np.mean(p_values[m.id] < config.alpha))
+                counts[key] = counts.get(key, 0) + val
+        rate = float(np.mean(p_values[m.id] < study.alpha))
         summaries.append(MethodSummary(
             method_id=m.id,
             number=m.number,
             rejection_rate=rate,
             mcse=float(np.sqrt(rate * (1 - rate) / n)),
             n_sim=n,
-            alpha=config.alpha,
-            mean_runtime_s=runtimes[m.id] / n,
-            diagnostics=agg[m.id],
+            alpha=study.alpha,
+            mean_runtime_s=sum(rt for _, rt, _ in results) / n,
+            diagnostics=counts,
         ))
-    separation = {
-        "mle_nonexistent_rate": (sep_counts["complete"] + sep_counts["quasicomplete"]) / n,
-        "complete_rate": sep_counts["complete"] / n,
-        "quasicomplete_rate": sep_counts["quasicomplete"] / n,
-        "placebo_degenerate_rate": sep_counts["placebo_degenerate"] / n,
-        "any_arm_degenerate_rate": sep_counts["any_arm_degenerate"] / n,
-    }
+    separation = {f"{key}_rate": sum(flags[key] for flags, _ in trials) / n
+                  for key in trials[0][0]}
     return StudyResult(
-        name=config.name,
-        sample_size=config.spec.n,
-        procedure=config.spec.procedure,
-        time_trend=config.time_trend,
-        alpha=config.alpha,
-        p0=config.p0,
-        pk=config.pk,
-        n_sim=n,
-        n_rand=config.n_rand,
-        seed=config.seed,
-        methods=summaries,
-        separation=separation,
-        p_values=p_values,
+        name=study.name, sample_size=study.spec.n, procedure=study.spec.procedure,
+        alpha=study.alpha, n_sim=n, seed=study.seed, methods=summaries,
+        separation=separation, p_values=p_values, **fields,
     )
 
 
-def _binary_trial_range_star(args):
-    return _binary_trial_range(*args)
+def run_power_study(config: ScenarioConfig, workers: int = 1, progress=None) -> StudyResult:
+    """Simulate ``n_sim`` trials and tabulate each method's rejection rate.
+
+    The result is identical for any worker count.  Progress goes to the
+    ``randmcp.simulate`` logger at INFO level.
+    """
+    study = _Study(config.name, _BinaryTrials(config), config.spec, config.methods,
+                   config.candidates, config.seed, config.n_sim, config.alpha)
+    return _run_study(study, workers, progress, time_trend=config.time_trend,
+                      p0=config.p0, pk=config.pk, n_rand=config.n_rand)
 
 
 @dataclass
@@ -374,39 +419,6 @@ def run_table_block(config: ScenarioConfig, workers: int = 1, progress=None) -> 
 # Potential-outcomes replay
 # ---------------------------------------------------------------------------
 
-def _replay_trial_range(table, spec, methods, candidates, seed, lo, hi,
-                        include_baseline_covariate, name, n_sim, progress=None):
-    rows = np.arange(table.n)
-    covariates = table.baseline[:, None] if include_baseline_covariate \
-        else np.empty((table.n, 0))
-    p_values = {m.id: np.empty(hi - lo) for m in methods}
-    runtimes = {m.id: 0.0 for m in methods}
-    agg: dict[str, dict] = {m.id: {} for m in methods}
-    for trial in range(lo, hi):
-        arms = sample_sequence(spec, substream(seed, _GEN, trial))
-        data = TrialDataset(
-            arms=arms,
-            outcomes=table.outcomes[rows, arms],
-            covariates=covariates,
-            grid=spec.grid,
-            endpoint=table.endpoint,
-        )
-        results = _run_methods_on_trial(data, spec, methods, candidates, seed, trial)
-        for mid, (p, rt, d) in results.items():
-            p_values[mid][trial - lo] = p
-            runtimes[mid] += rt
-            for key in ("separated_refits", "nonconverged_refits", "redrawn_sequences"):
-                if key in d:
-                    agg[mid][key] = agg[mid].get(key, 0) + d[key]
-        if progress and (trial + 1) % progress == 0:
-            print(f"[{name}] {trial + 1}/{n_sim} trials", flush=True)
-    return lo, p_values, runtimes, agg
-
-
-def _replay_trial_range_star(args):
-    return _replay_trial_range(*args)
-
-
 def simulate_from_potential_outcomes(
     table: PotentialOutcomeTable,
     spec: RandomizationSpec,
@@ -426,7 +438,8 @@ def simulate_from_potential_outcomes(
     Each simulated trial differs only by its treatment sequence: row i
     reveals the outcome of patient i under their assigned dose.  With
     ``sort_by_baseline`` the rows are enrolled in increasing baseline
-    order, which acts as a systematic time trend.
+    order, which acts as a systematic time trend.  Raises ValueError
+    unless ``n_sim >= 1`` and ``0 < alpha < 1``.
     """
     if table.n != spec.n:
         raise ValueError(f"table has {table.n} rows but the procedure expects {spec.n}")
@@ -434,46 +447,15 @@ def simulate_from_potential_outcomes(
         raise ValueError(f"table has {table.k} outcome columns for {spec.grid.k} arms")
     if sort_by_baseline:
         table = table.sorted_by_baseline()
-
-    if workers > 1 and n_sim > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        ranges = _chunk_ranges(n_sim, workers)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = sorted(
-                pool.map(_replay_trial_range_star,
-                         [(table, spec, methods, candidates, seed, lo, hi,
-                           include_baseline_covariate, name, n_sim)
-                          for lo, hi in ranges]),
-                key=lambda part: part[0],
-            )
-    else:
-        parts = [_replay_trial_range(table, spec, methods, candidates, seed,
-                                     0, n_sim, include_baseline_covariate,
-                                     name, n_sim, progress=progress)]
-    p_values = {m.id: np.concatenate([part[1][m.id] for part in parts]) for m in methods}
-    runtimes = {m.id: sum(part[2][m.id] for part in parts) for m in methods}
-    agg: dict[str, dict] = {m.id: {} for m in methods}
-    for part in parts:
-        for mid, d in part[3].items():
-            for key, val in d.items():
-                agg[mid][key] = agg[mid].get(key, 0) + val
-
-    summaries = []
-    for m in methods:
-        rate = float(np.mean(p_values[m.id] < alpha))
-        summaries.append(MethodSummary(
-            method_id=m.id, number=m.number, rejection_rate=rate,
-            mcse=float(np.sqrt(rate * (1 - rate) / n_sim)),
-            n_sim=n_sim, alpha=alpha,
-            mean_runtime_s=runtimes[m.id] / n_sim, diagnostics=agg[m.id],
-        ))
-    return StudyResult(
-        name=name, sample_size=spec.n, procedure=spec.procedure,
+    covariates = table.baseline[:, None] if include_baseline_covariate \
+        else np.empty((table.n, 0))
+    study = _Study(name, _ReplayTrials(table, spec, covariates, seed), spec, methods,
+                   candidates, seed, n_sim, alpha)
+    return _run_study(
+        study, workers, progress,
         time_trend="sorted_baseline" if sort_by_baseline else "none",
-        alpha=alpha, p0=float("nan"), pk=float("nan"),
-        n_sim=n_sim, n_rand=max((m.n_rand for m in methods if m.is_randomization), default=0),
-        seed=seed, methods=summaries, separation={}, p_values=p_values,
+        p0=float("nan"), pk=float("nan"),
+        n_rand=max((m.n_rand for m in methods if m.is_randomization), default=0),
     )
 
 
@@ -583,20 +565,26 @@ def _model_dict(model: CandidateModel) -> dict:
     return out
 
 
-def scenario_from_dict(d: dict) -> ScenarioConfig:
-    d = dict(d)
-    grid = DoseGrid(doses=tuple(d.pop("doses")))
-    spec = RandomizationSpec(
-        procedure=d.pop("procedure"),
+_SPEC_KEYS = ("doses", "procedure", "n", "targets", "block", "probs", "weights")
+
+
+def spec_from_dict(d: dict) -> RandomizationSpec:
+    """The randomization procedure a config declares under ``_SPEC_KEYS``."""
+    grid = DoseGrid(doses=tuple(d["doses"]))
+    return RandomizationSpec(
+        procedure=d["procedure"],
         grid=grid,
-        n=int(d.pop("n")),
+        n=int(d["n"]),
         targets=tuple(d["targets"]) if "targets" in d else None,
         block=tuple(d["block"]) if "block" in d else None,
         probs=tuple(d["probs"]) if "probs" in d else None,
         weights=tuple(d["weights"]) if "weights" in d else None,
     )
-    for leftover in ("targets", "block", "probs", "weights"):
-        d.pop(leftover, None)
+
+
+def scenario_from_dict(d: dict) -> ScenarioConfig:
+    spec = spec_from_dict(d)
+    d = {key: val for key, val in d.items() if key not in _SPEC_KEYS}
     n_rand = int(d.pop("n_rand", 1000))
     method_entries = d.pop("methods", None)
     methods = tuple(_method_from_entry(e, n_rand) for e in method_entries) \

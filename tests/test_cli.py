@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from randmcp.cli import main
-from randmcp.data import TrialDataset, write_trial_csv
+from randmcp.data import TrialDataset, write_potential_outcomes_csv, write_trial_csv
 from randmcp.dose_response import DoseGrid
+from randmcp.rng import substream
+from randmcp.simulate import synthetic_potential_table
 
 
 def run_cli(*argv):
@@ -33,6 +35,28 @@ def tiny_scenario(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(config))
     return path
+
+
+@pytest.fixture
+def replay_config(tmp_path):
+    """Write a potential-outcome replay config; returns a writer taking overrides."""
+    grid = DoseGrid(doses=(0.0, 100.0, 200.0, 400.0, 1000.0))
+    write_potential_outcomes_csv(tmp_path / "po.csv",
+                                 synthetic_potential_table(20, grid, substream(3, 1)),
+                                 grid.doses)
+
+    def write(**overrides):
+        config = {
+            "name": "demo", "potential_outcomes": "po.csv", "doses": list(grid.doses),
+            "procedure": "ra", "n": 20, "targets": [4] * 5, "methods": ["residual_mle"],
+            "n_sim": 4, "n_rand": 20, "seed": 4,
+        }
+        config.update(overrides)
+        path = tmp_path / "po.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    return write
 
 
 @pytest.fixture
@@ -86,6 +110,32 @@ class TestSimulateCommand:
         r2 = json.loads((out2 / "tiny_summary.json").read_text())
         assert r1["results"] == r2["results"]
         assert r1["provenance"] == r2["provenance"]
+
+    def test_progress_goes_to_stderr(self, tiny_scenario, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", str(tiny_scenario), "--out", str(out),
+                       "--workers", "2", "--progress", "1") == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
+            f"wrote {out / 'tiny_table.csv'} and {out / 'tiny_summary.json'}"
+        ]
+        assert "[tiny_null] 4/4 trials" in captured.err
+        assert "[tiny_alt] 4/4 trials" in captured.err
+
+    def test_replay_config_writes_table(self, replay_config, tmp_path, capsys):
+        out = tmp_path / "po_out"
+        assert run_cli("simulate", "--config", str(replay_config()), "--out", str(out),
+                       "--workers", "1", "--progress", "2") == 0
+        lines = (out / "demo_po_table.csv").read_text().splitlines()
+        assert lines[0].startswith("# config_sha256=") and lines[0].endswith(" seed=4")
+        assert lines[1] == "test,method,rejection_rate_pct,mcse_pct"
+        assert json.loads((out / "demo_po_summary.json").read_text())["results"]["n_sim"] == 4
+        assert "[demo] 4/4 trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [{"n_sim": 0}, {"alpha": 1.5}])
+    def test_invalid_replay_config_exits_2(self, replay_config, tmp_path, bad):
+        assert run_cli("simulate", "--config", str(replay_config(**bad)),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

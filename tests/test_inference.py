@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -206,6 +208,32 @@ class TestRandomizationTest:
                                      TestMethod(id="residual_firth", n_rand=50),
                                      LINEAR_ONLY, substream(7, 1))
         assert out.diagnostics["observed_not_in_reference_set"]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("sizes", [(5, 4, 3), (4, 4, 4)])
+    def test_membership_flag_on_monte_carlo_and_exact(self, exact, sizes):
+        grid3 = DoseGrid(doses=(0.0, 25.0, 100.0))
+        spec = RandomizationSpec(procedure="ra", grid=grid3, n=12, targets=(4, 4, 4))
+        arms = np.repeat([0, 1, 2], sizes)
+        y = np.array([0, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 0], dtype=float)
+        data = toy_dataset(arms, y, grid3)
+        method = TestMethod(id="residual_firth", n_rand=200)
+
+        def run():
+            if exact:
+                return exact_randomization_pvalue(data, spec, method, LINEAR_ONLY)
+            return randomization_test(data, spec, method, LINEAR_ONLY, substream(7, 2))
+
+        if sizes == (4, 4, 4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = run()
+            assert "observed_not_in_reference_set" not in out.diagnostics
+        else:
+            with pytest.warns(UserWarning, match="reference set"):
+                out = run()
+            assert out.diagnostics["observed_not_in_reference_set"] is True
+        assert 0.0 <= out.p_value <= 1.0
 
     def test_mle_refit_separation_diagnostics_counted(self):
         spec = RandomizationSpec(procedure="pbd", grid=GRID4, n=28, block=(1, 2, 2, 2))

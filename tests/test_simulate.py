@@ -1,10 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from randmcp.data import PotentialOutcomeTable
 from randmcp.dose_response import DoseGrid, default_candidate_set, wide_range_candidate_set
-from randmcp.inference import TestMethod
+from randmcp.inference import TestMethod, default_methods
 from randmcp.presets import build_preset_dict, load_preset, preset_names
 from randmcp.randomization import RandomizationSpec
 from randmcp.rng import substream
@@ -133,7 +135,88 @@ class TestPowerStudy:
         }
 
 
+def replay_study(workers=1, **overrides):
+    table = synthetic_potential_table(20, GRID5, substream(23, 0))
+    spec = RandomizationSpec(procedure="ra", grid=GRID5, n=20, targets=(4,) * 5)
+    methods = tuple(TestMethod(id=m, n_rand=50)
+                    for m in ("population", "glm_mle", "residual_mle"))
+    kwargs = dict(alpha=0.05, n_sim=3, seed=29, workers=workers)
+    kwargs.update(overrides)
+    return simulate_from_potential_outcomes(
+        table, spec, methods, wide_range_candidate_set(1000.0), **kwargs
+    )
+
+
+class TestGoldenResults:
+    """p-values recorded before the power and replay loops were merged."""
+
+    def test_power_study(self):
+        config = trial_config(pk=0.2, n_sim=2, n_rand=50, seed=17,
+                              methods=default_methods(50))
+        null = run_power_study(config)
+        alt = run_power_study(replace(config, pk=0.8, covariate_in_analysis=False))
+        assert {mid: p.tolist() for mid, p in null.p_values.items()} == {
+            "population": [0.8043670654296875, 0.8362655639648438],
+            "glm_mle": [0.78, 0.78],
+            "residual_mle": [0.8, 0.08],
+            "glm_firth": [0.84, 0.38],
+            "residual_firth": [0.8, 0.08],
+        }
+        assert {mid: p.tolist() for mid, p in alt.p_values.items()} == {
+            "population": [0.0015106201171875, 0.08457183837890625],
+            "glm_mle": [0.0, 0.08],
+            "residual_mle": [0.0, 0.0],
+            "glm_firth": [0.0, 0.0],
+            "residual_firth": [0.0, 0.0],
+        }
+        assert null.separation == {
+            "mle_nonexistent_rate": 0.5, "complete_rate": 0.0, "quasicomplete_rate": 0.5,
+            "placebo_degenerate_rate": 0.5, "any_arm_degenerate_rate": 0.5,
+        }
+        assert null.summary("glm_mle").diagnostics == {
+            "separated_refits": 33, "nonconverged_refits": 34}
+        assert alt.summary("glm_mle").diagnostics == {
+            "separated_refits": 5, "nonconverged_refits": 6}
+
+    def test_replay(self):
+        res = replay_study()
+        assert {mid: p.tolist() for mid, p in res.p_values.items()} == {
+            "population": [0.0004730224609375, 0.00011444091796875, 0.25434112548828125],
+            "glm_mle": [0.0, 0.0, 0.22],
+            "residual_mle": [0.0, 0.02, 0.18],
+        }
+        assert res.separation == {}
+
+
+class TestProgress:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_is_logged_not_printed(self, workers, caplog, capsys):
+        caplog.set_level(logging.INFO, logger="randmcp.simulate")
+        config = trial_config(n_sim=4, n_rand=20,
+                              methods=(TestMethod(id="residual_mle", n_rand=20),))
+        run_power_study(config, workers=workers, progress=2)
+        messages = [r.getMessage() for r in caplog.records if r.name == "randmcp.simulate"]
+        assert messages == ["[test49] 2/4 trials", "[test49] 4/4 trials"]
+        assert capsys.readouterr().out == ""
+
+
 class TestPotentialOutcomes:
+    def test_worker_count_does_not_change_results(self):
+        seq = replay_study(workers=1, n_sim=4)
+        par = replay_study(workers=2, n_sim=4)
+        for mid in seq.p_values:
+            assert np.array_equal(seq.p_values[mid], par.p_values[mid])
+            assert seq.summary(mid).rejection_rate == par.summary(mid).rejection_rate
+            assert seq.summary(mid).diagnostics == par.summary(mid).diagnostics
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad, match", [
+        ({"n_sim": 0}, "n_sim"), ({"alpha": 1.5}, "alpha"), ({"alpha": 0.0}, "alpha"),
+    ])
+    def test_invalid_n_sim_or_alpha_rejected(self, workers, bad, match):
+        with pytest.raises(ValueError, match=match):
+            replay_study(workers=workers, **bad)
+
     def test_zero_variance_null_table_gives_p_one(self):
         n = 20
         outcomes = np.tile(np.full(5, 3.0), (n, 1))  # no dose effect, no variation
