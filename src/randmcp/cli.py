@@ -37,7 +37,13 @@ from .randomization import (
     enumerate_sequences,
 )
 from .rng import substream
-from .simulate import run_table_block, scenario_from_dict, scenario_to_dict, spec_from_dict
+from .simulate import (
+    _method_from_entry,
+    run_table_block,
+    scenario_from_dict,
+    scenario_to_dict,
+    spec_from_dict,
+)
 from .glm import SEP_NONE
 
 EXIT_OK = 0
@@ -127,14 +133,11 @@ def _cmd_simulate(args) -> int:
         return EXIT_INVALID
 
     payload = scenario_to_dict(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     workers = args.workers or _default_workers()
     with _progress_to_stderr(args.progress):
         block = run_table_block(config, workers=workers, progress=args.progress)
     rows = block.rows()
-    _write_study(out, config.name, {
+    _write_study(Path(args.out), config.name, {
         "provenance": provenance(payload, config.seed),
         "config": payload,
         "results": {
@@ -180,19 +183,13 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
         n_rand = args.rand if args.rand is not None else int(cfg.get("n_rand", 1000))
         method_ids = (args.methods.split(",") if args.methods
                       else cfg.get("methods", ["population", "residual_mle"]))
-        methods = tuple(
-            TestMethod(id=m, n_rand=n_rand) if isinstance(m, str)
-            else TestMethod(n_rand=n_rand, **m)
-            for m in method_ids
-        )
+        methods = tuple(_method_from_entry(m, n_rand) for m in method_ids)
         name = cfg.get("name", "potential_outcomes")
         alpha = float(cfg.get("alpha", 0.05))
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"simulate: invalid potential-outcomes configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         with _progress_to_stderr(args.progress):
             result = simulate_from_potential_outcomes(
@@ -211,7 +208,7 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
         "rejection_rate_pct": round(100 * m.rejection_rate, 2),
         "mcse_pct": round(100 * m.mcse, 3),
     } for m in result.methods]
-    _write_study(out, f"{name}_po", {
+    _write_study(Path(args.out), f"{name}_po", {
         "provenance": provenance(cfg, seed),
         "config": cfg,
         "results": {
@@ -227,7 +224,11 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
 
 
 def _write_study(out: Path, stem: str, summary: dict) -> None:
-    """Write ``summary`` as JSON and its results table as CSV, hash and seed first."""
+    """Write ``summary`` as JSON and its results table as CSV, hash and seed first.
+
+    Creates ``out`` only here, so a study that fails leaves no directory.
+    """
+    out.mkdir(parents=True, exist_ok=True)
     prov = summary["provenance"]
     rows = summary["results"]["table"]
     csv_path = out / f"{stem}_table.csv"

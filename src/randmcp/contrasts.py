@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dose_response import CandidateSet, DoseGrid, standardized_shape
+from .glm import batch_solve
 
 ZERO_SUM_TOL = 1e-10
 
@@ -60,39 +61,61 @@ def optimal_contrast(mu0: np.ndarray, S: np.ndarray) -> np.ndarray:
     S : symmetric positive-definite covariance of the arm mean estimates.
 
     Returns the unit-norm, zero-sum maximizer of ``c'mu0 / sqrt(c'Sc)``
-    with its sign fixed so ``c'mu0 > 0``.
+    with its sign fixed so ``c'mu0 > 0``: the batched kernel with one
+    shape and one covariance.
     """
-    mu0 = np.asarray(mu0, dtype=float)
+    mu0s = np.asarray(mu0, dtype=float)[None]
     S = np.asarray(S, dtype=float)
-    k = mu0.shape[0]
+    _check_inputs(mu0s, S)
+    c = _optimal_contrasts_batch(mu0s, S[None])[0, 0]
+    if not np.any(c):
+        raise DegenerateShapeError("optimal contrast collapsed to zero")
+    return c
+
+
+def _check_inputs(mu0s: np.ndarray, S: np.ndarray) -> None:
+    """Reject a covariance of the wrong shape or not positive definite, and flat shapes."""
+    k = mu0s.shape[1]
     if S.shape != (k, k):
         raise ValueError(f"covariance shape {S.shape} does not match mean length {k}")
-    if np.ptp(mu0) == 0.0:
+    if np.any(np.ptp(mu0s, axis=1) == 0.0):
         raise DegenerateShapeError("candidate mean vector is constant (flat shape)")
     try:
-        cho = np.linalg.cholesky(S)
+        np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"covariance is not positive definite: {exc}") from exc
 
-    ones = np.ones(k)
-    s_inv_mu = _cho_solve(cho, mu0)
-    s_inv_one = _cho_solve(cho, ones)
-    shift = (mu0 @ s_inv_one) / (ones @ s_inv_one)
-    c = s_inv_mu - shift * s_inv_one
-    norm = np.linalg.norm(c)
-    if norm == 0.0:
-        raise DegenerateShapeError("optimal contrast collapsed to zero")
-    c = c / norm
-    if c @ mu0 < 0:
-        c = -c
-    # Exact zero-sum up to rounding; remove the float residue.
-    c = c - c.sum() / k
-    return c / np.linalg.norm(c)
+
+def _optimal_contrasts_batch(mu0s: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Per-slice optimal contrasts: (B, M, k) from shapes (M, k) and covariances (B, k, k).
+
+    Each row is ``S^-1 (mu0 - mu_bar 1)``, centred to sum to zero,
+    scaled to unit norm and signed so ``c'mu0 >= 0``.  A singular slice
+    is solved with its pseudo-inverse; a row that collapses to zero stays
+    zero.
+    """
+    b, k, _ = covs.shape
+    m = mu0s.shape[0]
+    rhs = np.concatenate([mu0s.T, np.ones((k, 1))], axis=1)  # (k, M+1)
+    sol = batch_solve(covs, np.broadcast_to(rhs, (b, k, m + 1)))
+    sinv_mu = sol[:, :, :m].transpose(0, 2, 1)  # (B, M, k)
+    sinv_one = sol[:, :, m]  # (B, k)
+    shift = np.einsum("mk,bk->bm", mu0s, sinv_one) / sinv_one.sum(axis=1)[:, None]
+    c = sinv_mu - shift[:, :, None] * sinv_one[:, None, :]
+    c = c - c.mean(axis=2, keepdims=True)
+    norms = np.linalg.norm(c, axis=2, keepdims=True)
+    c = c / np.where(norms > 0, norms, 1.0)
+    sign = np.sign(np.einsum("bmk,mk->bm", c, mu0s))
+    return c * np.where(sign == 0, 1.0, sign)[:, :, None]
 
 
-def _cho_solve(cho: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = np.linalg.solve(cho, b)
-    return np.linalg.solve(cho.T, y)
+def shape_matrix(candidates: CandidateSet, grid: DoseGrid):
+    """Stacked mean vectors of the non-flat candidates: (M, k) plus labels."""
+    models = candidates.non_flat()
+    if not models:
+        raise NoContrastsError("all candidate shapes are flat; no contrasts can be formed")
+    mu0s = np.vstack([standardized_shape(m, grid) for m in models])
+    return mu0s, tuple(m.name for m in models)
 
 
 def contrast_matrix(
@@ -122,19 +145,11 @@ def contrast_matrix(
         S = np.asarray(covariance, dtype=float)
         source = "fitted_covariance"
 
-    rows, labels, skipped = [], [], []
-    for model in candidates.models:
-        if model.is_flat:
-            skipped.append(model.name)
-            continue
-        mu0 = standardized_shape(model, grid)
-        rows.append(optimal_contrast(mu0, S))
-        labels.append(model.name)
-    if not rows:
-        raise NoContrastsError("all candidate shapes are flat; no contrasts can be formed")
+    mu0s, labels = shape_matrix(candidates, grid)
+    _check_inputs(mu0s, S)
     return ContrastMatrix(
-        vectors=np.vstack(rows),
-        labels=tuple(labels),
+        vectors=_optimal_contrasts_batch(mu0s, S[None])[0],
+        labels=labels,
         weight_source=source,
-        skipped=tuple(skipped),
+        skipped=tuple(m.name for m in candidates.models if m.is_flat),
     )

@@ -5,7 +5,8 @@ outcomes, closed-form least squares for continuous outcomes, an exact
 complete/quasicomplete separation classifier, and population-average
 arm means with their covariance.  Batched variants fit the same model
 against many treatment assignments at once; they are the workhorses of
-the re-randomization loops.
+the re-randomization loops, and the single fits run them as a batch of
+one.
 """
 from __future__ import annotations
 
@@ -182,52 +183,34 @@ def _validate_binary(y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _check_outcome(design: DesignMatrix, y, family: str) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if y.shape != (design.n,):
+        raise ValueError("outcome length does not match the design")
+    _check_rank(design)
+    if family == "binomial":
+        return _validate_binary(y)
+    if family != "gaussian":
+        raise ValueError(f"unknown family {family!r}")
+    return y
+
+
 def fit_mle(design: DesignMatrix, y, family: str = "binomial",
             check_separation: bool = True) -> GlmFit:
-    """Maximum likelihood fit.
+    """Maximum likelihood fit: :func:`fit_mle_many` on a batch of one.
 
     Binary outcomes use IRLS, stopping when the score norm drops below
     1e-8 or after 25 iterations; a non-convergent fit returns the last
     iterate flagged ``converged=False`` (mirroring standard software,
     which reports estimates whether or not the MLE exists).  Continuous
-    outcomes use closed-form least squares with the classical
-    covariance.
+    outcomes use least squares with the classical covariance.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (design.n,):
-        raise ValueError("outcome length does not match the design")
-    _check_rank(design)
+    y = _check_outcome(design, y, family)
     if family == "gaussian":
-        return _fit_gaussian(design, y, estimator="gaussian_ls")
-    if family != "binomial":
-        raise ValueError(f"unknown family {family!r}")
-    y = _validate_binary(y)
-    x = design.values
-
-    beta = np.zeros(x.shape[1])
-    converged = False
-    iterations = 0
-    for _ in range(MLE_MAX_ITER):
-        eta = x @ beta
-        pi = expit(eta)
-        score = x.T @ (y - pi)
-        if np.linalg.norm(score) < SCORE_TOL:
-            converged = True
-            break
-        w = pi * (1.0 - pi)
-        info = x.T @ (w[:, None] * x)
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(info, score, rcond=None)[0]
-        beta = beta + step
-        iterations += 1
-
-    eta = x @ beta
-    pi = expit(eta)
-    w = pi * (1.0 - pi)
-    info = x.T @ (w[:, None] * x)
-    covariance = _safe_inv(info)
+        return _fit_gaussian(design, y)
+    fits = fit_mle_many(design.values[None], y)
+    beta = fits.coefficients[0]
+    converged = bool(fits.iterations[0] < MLE_MAX_ITER)
     notes = []
     if check_separation:
         separation = detect_separation(design, y)
@@ -241,37 +224,33 @@ def fit_mle(design: DesignMatrix, y, family: str = "binomial",
             notes.append("coefficients diverging; MLE likely nonexistent")
     return GlmFit(
         coefficients=beta,
-        covariance=covariance,
+        covariance=fits.covariances[0],
         estimator="mle",
         family="binomial",
         converged=converged,
         separation=separation,
-        iterations=iterations,
-        loglik=_binomial_loglik(eta, y),
+        iterations=int(fits.iterations[0]),
+        loglik=_binomial_loglik(design.values @ beta, y),
         dose_columns=design.dose_columns,
         labels=design.labels,
         notes=tuple(notes),
     )
 
 
-def _fit_gaussian(design: DesignMatrix, y: np.ndarray, estimator: str,
-                  notes: tuple[str, ...] = ()) -> GlmFit:
-    x = design.values
-    n, p = x.shape
-    beta, _, _, _ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ beta
+def _fit_gaussian(design: DesignMatrix, y: np.ndarray, notes: tuple[str, ...] = ()) -> GlmFit:
+    fits = fit_gaussian_many(design.values[None], y)
+    beta = fits.coefficients[0]
+    n, p = design.values.shape
+    resid = y - design.values @ beta
     rss = float(resid @ resid)
-    sigma2 = rss / (n - p) if n > p else 0.0
-    xtx_inv = _safe_inv(x.T @ x)
-    covariance = sigma2 * xtx_inv
-    if sigma2 > 0:
+    if n > p and rss > 0:
         loglik = -0.5 * n * (np.log(2.0 * np.pi * rss / n) + 1.0)
     else:
         loglik = np.inf
     return GlmFit(
         coefficients=beta,
-        covariance=covariance,
-        estimator=estimator,
+        covariance=fits.covariances[0],
+        estimator="gaussian_ls",
         family="gaussian",
         converged=True,
         separation=SEP_NONE,
@@ -281,66 +260,6 @@ def _fit_gaussian(design: DesignMatrix, y: np.ndarray, estimator: str,
         labels=design.labels,
         notes=notes,
     )
-
-
-def _safe_inv(a: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(a)
-
-
-def _hat_diagonal(xw: np.ndarray, info: np.ndarray) -> np.ndarray:
-    # h_i = [W^1/2 X (X'WX)^-1 X'W^1/2]_ii
-    sol = np.linalg.solve(info, xw.T)
-    return np.einsum("np,pn->n", xw, sol)
-
-
-def _penalized_loglik(x: np.ndarray, y: np.ndarray, beta: np.ndarray) -> float:
-    eta = x @ beta
-    pi = expit(eta)
-    w = np.clip(pi * (1.0 - pi), 1e-300, None)
-    info = x.T @ (w[:, None] * x)
-    sign, logdet = np.linalg.slogdet(info)
-    if sign <= 0:
-        return -np.inf
-    return _binomial_loglik(eta, y) + 0.5 * logdet
-
-
-def _firth_newton(x: np.ndarray, y: np.ndarray, start: np.ndarray):
-    """Newton iteration on the modified score from one starting point."""
-    beta = start.copy()
-    pen = _penalized_loglik(x, y, beta)
-    converged = False
-    iterations = 0
-    for _ in range(FIRTH_MAX_ITER):
-        pi = expit(x @ beta)
-        w = pi * (1.0 - pi)
-        xw = np.sqrt(w)[:, None] * x
-        info = xw.T @ xw
-        hat = _hat_diagonal(xw, info)
-        u_star = x.T @ (y - pi + hat * (0.5 - pi))
-        if np.linalg.norm(u_star) < SCORE_TOL:
-            converged = True
-            break
-        step = np.linalg.solve(info, u_star)
-        big = np.max(np.abs(step)) / FIRTH_MAX_STEP
-        if big > 1.0:
-            step = step / big
-        new_beta = beta + step
-        new_pen = _penalized_loglik(x, y, new_beta)
-        # Halve only on decreases beyond rounding noise, or tiny Newton
-        # steps near the optimum stall below the score tolerance.
-        slack = 1e-10 * (1.0 + abs(pen))
-        halvings = 0
-        while new_pen < pen - slack and halvings < FIRTH_MAX_HALVINGS:
-            step = 0.5 * step
-            new_beta = beta + step
-            new_pen = _penalized_loglik(x, y, new_beta)
-            halvings += 1
-        beta, pen = new_beta, new_pen
-        iterations += 1
-    return beta, pen, converged, iterations
 
 
 def fit_firth(design: DesignMatrix, y, family: str = "binomial",
@@ -353,47 +272,44 @@ def fit_firth(design: DesignMatrix, y, family: str = "binomial",
     Steps are halved while the penalized likelihood decreases.  The
     penalized surface can be multimodal under tight separation, so the
     zero start is polished with restarts along the converged direction
-    and the best mode wins.  The covariance is the inverse penalized
-    information at the optimum.  Continuous outcomes fall back to least
-    squares (the penalty has no effect there), flagged in the fit notes.
+    and the best mode wins; each start runs the batched Newton loop of
+    :func:`fit_firth_many` on a batch of one.  The covariance is the
+    inverse penalized information at the optimum.  Continuous outcomes
+    fall back to least squares (the penalty has no effect there),
+    flagged in the fit notes.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (design.n,):
-        raise ValueError("outcome length does not match the design")
-    _check_rank(design)
+    y = _check_outcome(design, y, family)
     if family == "gaussian":
         return _fit_gaussian(
-            design, y, estimator="gaussian_ls",
+            design, y,
             notes=("firth penalty is a no-op for the gaussian family; used least squares",),
         )
-    if family != "binomial":
-        raise ValueError(f"unknown family {family!r}")
-    y = _validate_binary(y)
-    x = design.values
+    x = design.values[None]
 
-    beta, pen, converged, iterations = _firth_newton(x, y, np.zeros(x.shape[1]))
+    def newton(start):
+        beta, pen, ok, its = _firth_newton_many(x, y, start[None])
+        return beta[0], pen[0], ok[0], its[0]
+
+    beta, pen, converged, iterations = newton(np.zeros(design.n_columns))
     notes: list[str] = []
     if converged and np.linalg.norm(beta) > 1e-8:
         for scale in (2.0, 4.0):
-            other, other_pen, other_ok, other_iter = _firth_newton(x, y, scale * beta)
+            other, other_pen, other_ok, other_iter = newton(scale * beta)
             iterations += other_iter
             if other_ok and other_pen > pen + 1e-9 * (1.0 + abs(pen)):
                 beta, pen = other, other_pen
                 notes.append("restart found a higher penalized-likelihood mode")
 
-    pi = expit(x @ beta)
-    w = pi * (1.0 - pi)
-    info = x.T @ (w[:, None] * x)
     separation = detect_separation(design, y) if check_separation else SEP_UNCHECKED
     return GlmFit(
         coefficients=beta,
-        covariance=_safe_inv(info),
+        covariance=_batch_inv(_information(x, beta[None]))[0],
         estimator="firth",
         family="binomial",
-        converged=converged,
+        converged=bool(converged),
         separation=separation,
-        iterations=iterations,
-        loglik=pen,
+        iterations=int(iterations),
+        loglik=float(pen),
         dose_columns=design.dose_columns,
         labels=design.labels,
         notes=tuple(notes),
@@ -587,17 +503,15 @@ def population_average_means(fit: GlmFit, design: DesignMatrix) -> PopulationAve
     Averages the covariate contribution over the observed sample, so
     the k returned values are comparable across arms; their covariance
     is the corresponding linear transform of the coefficient
-    covariance.
+    covariance.  Runs :func:`population_average_batch` on a batch of one.
     """
     k = fit.dose_columns
     if k < 1:
         raise ValueError("population averages need a fit with dose-indicator columns")
-    p = design.n_columns - k
-    l_mat = np.hstack([np.eye(k), np.tile(design.values[:, k:].mean(axis=0), (k, 1))]) \
-        if p else np.eye(k)
-    mu = l_mat @ fit.coefficients
-    cov = l_mat @ fit.covariance @ l_mat.T
-    return PopulationAverage(mu=mu, covariance=cov)
+    fits = BatchFits(fit.coefficients[None], fit.covariance[None],
+                     np.array([fit.converged]), np.array([fit.iterations]))
+    mu, cov = population_average_batch(fits, design.values[None], k)
+    return PopulationAverage(mu=mu[0], covariance=cov[0])
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +541,9 @@ def stack_designs(arms_matrix: np.ndarray, k: int, covariates=None) -> np.ndarra
 def fit_mle_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
     """Batched binomial IRLS; one fit per leading slice of ``designs``.
 
-    Applies the same update rule as :func:`fit_mle` to every slice,
-    freezing slices once their score norm passes the tolerance.
-    Convergence here is the raw IRLS criterion combined with the
+    Slices are frozen once their score norm passes the tolerance, so a
+    slice converged exactly when its iteration count is below 25.
+    ``converged`` here combines that raw IRLS criterion with the
     divergence bound; no separation check is performed.
     """
     b, n, p = designs.shape
@@ -656,28 +570,35 @@ def fit_mle_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
             xa, ba, pi, score = xa[keep], ba[keep], pi[keep], score[keep]
         w = pi * (1.0 - pi)
         info = np.einsum("bnp,bn,bnq->bpq", xa, w, xa)
-        step = _batch_solve(info, score)
+        step = batch_solve(info, score)
         beta[active] = ba + step
         iterations[active] += 1
 
-    pi = expit(np.einsum("bnp,bp->bn", designs, beta))
-    w = pi * (1.0 - pi)
-    info = np.einsum("bnp,bn,bnq->bpq", designs, w, designs)
-    covariances = _batch_inv(info)
+    covariances = _batch_inv(_information(designs, beta))
     converged &= np.max(np.abs(beta), axis=1) <= DIVERGENCE_BOUND
     return BatchFits(beta, covariances, converged, iterations)
 
 
 def fit_firth_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
-    """Batched Firth fits mirroring :func:`fit_firth` slice by slice.
+    """Batched Firth fits: the Newton loop of :func:`fit_firth`, slice by slice.
 
     Uses the zero start only (no multimodality polish): the batch path
     serves re-randomization refits, whose separation certificates run
     through the dose indicators where the penalized surface is benign.
     """
     b, n, p = designs.shape
-    y = np.asarray(y, dtype=float)
-    beta = np.zeros((b, p))
+    beta, _, converged, iterations = _firth_newton_many(
+        designs, np.asarray(y, dtype=float), np.zeros((b, p)))
+    return BatchFits(beta, _batch_inv(_information(designs, beta)), converged, iterations)
+
+
+def _firth_newton_many(designs: np.ndarray, y: np.ndarray, start: np.ndarray):
+    """Newton iteration on the modified score from one start per slice.
+
+    Returns ``(beta, penalized_loglik, converged, iterations)``.
+    """
+    b = start.shape[0]
+    beta = start.copy()
     pen = _penalized_loglik_batch(designs, y, beta)
     active = np.ones(b, dtype=bool)
     iterations = np.zeros(b, dtype=int)
@@ -692,6 +613,7 @@ def fit_firth_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
         xw = xa * np.sqrt(w)[:, :, None]
         info = np.einsum("bnp,bnq->bpq", xw, xw)
         inv = _batch_inv(info)
+        # Hat diagonals h_i = [W^1/2 X (X'WX)^-1 X'W^1/2]_ii.
         hat = np.einsum("bnp,bpq,bnq->bn", xw, inv, xw)
         u_star = np.einsum("bnp,bn->bp", xa, y[None, :] - pi + hat * (0.5 - pi))
         done = np.linalg.norm(u_star, axis=1) < SCORE_TOL
@@ -703,12 +625,14 @@ def fit_firth_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
             if not np.any(keep):
                 break
             xa, ba, pi, u_star, info = xa[keep], ba[keep], pi[keep], u_star[keep], info[keep]
-        step = _batch_solve(info, u_star)
+        step = batch_solve(info, u_star)
         big = np.max(np.abs(step), axis=1) / FIRTH_MAX_STEP
         step = np.where(big[:, None] > 1.0, step / np.maximum(big, 1.0)[:, None], step)
         new_beta = ba + step
         new_pen = _penalized_loglik_batch(xa, y, new_beta)
         pen_a = pen[active]
+        # Halve only on decreases beyond rounding noise, or tiny Newton
+        # steps near the optimum stall below the score tolerance.
         slack = 1e-10 * (1.0 + np.abs(pen_a))
         for _h in range(FIRTH_MAX_HALVINGS):
             worse = new_pen < pen_a - slack
@@ -720,20 +644,16 @@ def fit_firth_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
         beta[active] = new_beta
         pen[active] = new_pen
         iterations[active] += 1
-
-    pi = expit(np.einsum("bnp,bp->bn", designs, beta))
-    w = pi * (1.0 - pi)
-    info = np.einsum("bnp,bn,bnq->bpq", designs, w, designs)
-    return BatchFits(beta, _batch_inv(info), converged, iterations)
+    return beta, pen, converged, iterations
 
 
 def fit_gaussian_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
-    """Batched least squares with classical covariances."""
+    """Batched least squares, by the normal equations, with classical covariances."""
     b, n, p = designs.shape
     y = np.asarray(y, dtype=float)
     xtx = np.einsum("bnp,bnq->bpq", designs, designs)
     xty = np.einsum("bnp,n->bp", designs, y)
-    beta = _batch_solve(xtx, xty)
+    beta = batch_solve(xtx, xty)
     resid = y[None, :] - np.einsum("bnp,bp->bn", designs, beta)
     rss = np.einsum("bn,bn->b", resid, resid)
     sigma2 = rss / (n - p) if n > p else np.zeros(b)
@@ -764,6 +684,13 @@ def population_average_batch(fits: BatchFits, designs: np.ndarray, k: int):
     return mu, cov
 
 
+def _information(designs: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Binomial information ``X'WX`` of every slice at its coefficients."""
+    pi = expit(np.einsum("bnp,bp->bn", designs, beta))
+    w = pi * (1.0 - pi)
+    return np.einsum("bnp,bn,bnq->bpq", designs, w, designs)
+
+
 def _penalized_loglik_batch(designs: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     eta = np.einsum("bnp,bp->bn", designs, beta)
     pi = expit(eta)
@@ -776,15 +703,30 @@ def _penalized_loglik_batch(designs: np.ndarray, y: np.ndarray, beta: np.ndarray
     return out
 
 
-def _batch_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def batch_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``a[i] x = rhs[i]`` for every slice; ``rhs`` is (B, p) or (B, p, r).
+
+    A singular slice falls back to its own pseudo-inverse while the
+    others keep the LU solve, so no slice's result depends on which
+    other slices share its batch.
+    """
+    vector = rhs.ndim == a.ndim - 1
+    if vector:
+        rhs = rhs[..., None]
     try:
-        return np.linalg.solve(a, rhs[..., None])[..., 0]
+        out = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        return np.einsum("bpq,bq->bp", np.linalg.pinv(a), rhs)
+        out = np.stack([_solve_or_pinv(ai, bi) for ai, bi in zip(a, rhs)])
+    return out[..., 0] if vector else out
+
+
+def _solve_or_pinv(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(a) @ rhs
 
 
 def _batch_inv(a: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        return np.linalg.pinv(a)
+    # Bit-identical to np.linalg.inv, which is LU with identity right-hand sides.
+    return batch_solve(a, np.broadcast_to(np.eye(a.shape[-1]), a.shape))

@@ -22,9 +22,15 @@ from scipy.stats import chi2, norm, qmc
 from scipy.stats import t as student_t
 
 from . import glm
-from .contrasts import ContrastMatrix, contrast_matrix, optimal_contrast
+from .contrasts import (
+    ContrastMatrix,
+    _optimal_contrasts_batch,
+    contrast_matrix,
+    optimal_contrast,
+    shape_matrix,
+)
 from .data import TrialDataset
-from .dose_response import CandidateSet, DoseGrid, standardized_shape
+from .dose_response import CandidateSet
 from .randomization import (
     CR,
     ENUMERATION_CAP,
@@ -93,8 +99,6 @@ class TestMethod:
 
     @property
     def statistic(self) -> str:
-        if self.id == "population":
-            return "glm"
         return "residual" if self.id.startswith("residual") else "glm"
 
     @property
@@ -129,15 +133,6 @@ class TestOutcome:
                 raise ValueError("statistic must be the maximum per-contrast value")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} outside [0, 1]")
-
-
-def shape_matrix(candidates: CandidateSet, grid: DoseGrid):
-    """Stacked mean vectors of the non-flat candidates: (M, k) plus labels."""
-    models = candidates.non_flat()
-    if not models:
-        raise ValueError("need at least one non-flat candidate shape")
-    mu0s = np.vstack([standardized_shape(m, grid) for m in models])
-    return mu0s, tuple(m.name for m in models)
 
 
 # ---------------------------------------------------------------------------
@@ -200,39 +195,6 @@ def _classify_separation_batch(data: TrialDataset, arms_matrix: np.ndarray) -> n
     return out
 
 
-def _optimal_contrasts_batch(mu0s: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """Per-slice optimal contrasts: (B, M, k) from shapes (M, k) and covariances (B, k, k)."""
-    b, k, _ = covs.shape
-    m = mu0s.shape[0]
-    rhs = np.concatenate([mu0s.T, np.ones((k, 1))], axis=1)  # (k, M+1)
-    try:
-        sol = np.linalg.solve(covs, np.broadcast_to(rhs, (b, k, m + 1)))
-    except np.linalg.LinAlgError:
-        sol = np.einsum("bkl,lm->bkm", np.linalg.pinv(covs), rhs)
-    sinv_mu = sol[:, :, :m].transpose(0, 2, 1)  # (B, M, k)
-    sinv_one = sol[:, :, m]  # (B, k)
-    shift = np.einsum("mk,bk->bm", mu0s, sinv_one) / sinv_one.sum(axis=1)[:, None]
-    c = sinv_mu - shift[:, :, None] * sinv_one[:, None, :]
-    return _normalize_contrasts(c, mu0s)
-
-
-def _optimal_contrasts_diag_batch(mu0s: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Optimal contrasts for diagonal covariances diag(1/n_j): counts has shape (B, k)."""
-    sinv_mu = counts[:, None, :] * mu0s[None, :, :]
-    sinv_one = counts
-    shift = np.einsum("mk,bk->bm", mu0s, sinv_one) / sinv_one.sum(axis=1)[:, None]
-    c = sinv_mu - shift[:, :, None] * sinv_one[:, None, :]
-    return _normalize_contrasts(c, mu0s)
-
-
-def _normalize_contrasts(c: np.ndarray, mu0s: np.ndarray) -> np.ndarray:
-    c = c - c.mean(axis=2, keepdims=True)
-    norms = np.linalg.norm(c, axis=2, keepdims=True)
-    c = c / np.where(norms > 0, norms, 1.0)
-    sign = np.sign(np.einsum("bmk,mk->bm", c, mu0s))
-    return c * np.where(sign == 0, 1.0, sign)[:, :, None]
-
-
 def _arm_counts(arms_matrix: np.ndarray, k: int) -> np.ndarray:
     """Patients per arm in every assignment row: integers of shape (B, k)."""
     return np.stack([(arms_matrix == j).sum(axis=1) for j in range(k)], axis=1)
@@ -271,7 +233,8 @@ def residual_statistics_batch(
     else:
         if mu0s is None:
             raise ValueError("need either fixed contrasts or candidate shapes")
-        c = _optimal_contrasts_diag_batch(mu0s, counts)
+        # Design weights of the realized arm sizes: covariance diag(1/n_j).
+        c = _optimal_contrasts_batch(mu0s, np.eye(k) / safe[:, None, :])
         labels = None
     num = np.einsum("bmk,bk->bm", c, means)
     den = np.einsum("bmk,bk->bm", c ** 2, variances / safe)
@@ -612,13 +575,7 @@ def population_test(
     if method.id != "population":
         raise ValueError("population_test requires the population method")
     design = glm.design_from_assignments(data.arms, data.grid.k, data.covariates)
-    family = _family(data)
-    if family == "gaussian":
-        fit = glm.fit_mle(design, data.outcomes, family="gaussian")
-    elif method.estimator == "firth":
-        fit = glm.fit_firth(design, data.outcomes, check_separation=True)
-    else:
-        fit = glm.fit_mle(design, data.outcomes, family="binomial", check_separation=True)
+    fit = glm.fit_mle(design, data.outcomes, family=_family(data))
     avg = glm.population_average_means(fit, design)
     mu0s, labels = shape_matrix(candidates, data.grid)
 

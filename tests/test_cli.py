@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from randmcp import simulate
 from randmcp.cli import main
 from randmcp.data import TrialDataset, write_potential_outcomes_csv, write_trial_csv
 from randmcp.dose_response import DoseGrid
+from randmcp.inference import TestMethod
 from randmcp.rng import substream
 from randmcp.simulate import synthetic_potential_table
 
@@ -132,10 +134,27 @@ class TestSimulateCommand:
         assert json.loads((out / "demo_po_summary.json").read_text())["results"]["n_sim"] == 4
         assert "[demo] 4/4 trials" in capsys.readouterr().err
 
+    def test_replay_method_entry_sets_its_own_n_rand(self, replay_config, tmp_path,
+                                                     monkeypatch):
+        seen = []
+        study = simulate.simulate_from_potential_outcomes
+
+        def spy(table, spec, methods, *args, **kwargs):
+            seen.append(methods)
+            return study(table, spec, methods, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "simulate_from_potential_outcomes", spy)
+        config = replay_config(methods=[{"id": "residual_mle", "n_rand": 10}, "glm_mle"])
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                       "--workers", "1") == 0
+        assert seen == [(TestMethod(id="residual_mle", n_rand=10),
+                         TestMethod(id="glm_mle", n_rand=20))]
+
     @pytest.mark.parametrize("bad", [{"n_sim": 0}, {"alpha": 1.5}])
     def test_invalid_replay_config_exits_2(self, replay_config, tmp_path, bad):
         assert run_cli("simulate", "--config", str(replay_config(**bad)),
                        "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -74,6 +74,23 @@ class TestGaussian:
         assert np.allclose(fit.coefficients, b, atol=1e-10)
         assert np.allclose(fit.covariance, 0.0, atol=1e-12)
 
+    def test_normal_equations_match_qr_least_squares_with_offset_covariate(self):
+        # Least squares solves the normal equations, which square the
+        # design's condition number; a covariate far from zero is where
+        # that loses digits.  README Notes gives the measured errors.
+        rng = np.random.default_rng(18)
+        arms = rng.permutation(np.repeat([0, 1, 2, 3], [7, 14, 14, 14]))
+        x = 1e3 + rng.normal(size=49)
+        y = 0.5 * arms + 0.4 * x + rng.normal(size=49)
+        design = design_from_assignments(arms, 4, x)
+        fit = fit_mle(design, y, family="gaussian")
+        xv = design.values
+        beta = np.linalg.lstsq(xv, y, rcond=None)[0]
+        r_inv = np.linalg.inv(np.linalg.qr(xv)[1])
+        cov = np.sum((y - xv @ beta) ** 2) / (49 - 5) * r_inv @ r_inv.T
+        np.testing.assert_allclose(xv @ fit.coefficients, xv @ beta, rtol=1e-8)
+        assert np.max(np.abs(fit.covariance - cov)) <= 1e-8 * np.max(np.abs(cov))
+
     def test_firth_falls_back_to_least_squares(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(15, 1))
@@ -360,7 +377,8 @@ class TestBatchedFits:
         for i in range(b):
             design = design_from_assignments(arms_matrix[i], k, x)
             single = fit_mle(design, y, check_separation=False)
-            assert np.allclose(batch.coefficients[i], single.coefficients, atol=1e-7)
+            assert np.array_equal(batch.coefficients[i], single.coefficients)
+            assert np.array_equal(batch.covariances[i], single.covariance)
             assert batch.converged[i] == single.converged
 
     def test_batched_firth_matches_single_fits(self):
@@ -392,5 +410,5 @@ class TestBatchedFits:
         for i in range(b):
             design = design_from_assignments(arms_matrix[i], k, x)
             single = fit_mle(design, y, family="gaussian")
-            assert np.allclose(batch.coefficients[i], single.coefficients, atol=1e-9)
-            assert np.allclose(batch.covariances[i], single.covariance, atol=1e-9)
+            assert np.array_equal(batch.coefficients[i], single.coefficients)
+            assert np.array_equal(batch.covariances[i], single.covariance)

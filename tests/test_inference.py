@@ -156,6 +156,26 @@ class TestRefitStatistic:
         s2 = glm_statistics_batch(d2, arms[None, :], default_candidate_set())[0][0]
         assert s1 == pytest.approx(s2, rel=1e-9)
 
+    @pytest.mark.parametrize("estimator", ["mle", "firth"])
+    def test_row_does_not_depend_on_its_batch_neighbours(self, estimator):
+        # The row with an empty placebo arm has a singular information
+        # matrix; only that row may fall back to a pseudo-inverse.
+        rng = np.random.default_rng(21)
+        arms = rng.permutation(np.repeat([0, 1, 2, 3], [7, 14, 14, 14]))
+        x = rng.normal(size=49)
+        y = (rng.random(49) < 0.35).astype(float)
+        data = toy_dataset(arms, y, GRID4, covariates=x)
+        rows = np.stack([rng.permutation(arms) for _ in range(5)])
+        empty_placebo = np.where(arms == 0, 1, arms)
+        batch = np.vstack([rows[:2], empty_placebo, rows[2:]])
+        cands = default_candidate_set()
+        stats, t_matrix, _, _ = glm_statistics_batch(data, batch, cands, estimator=estimator)
+        for i, row in zip([0, 1, 3, 4, 5], rows):
+            alone, t_alone, _, _ = glm_statistics_batch(data, row[None], cands,
+                                                        estimator=estimator)
+            assert alone[0] == stats[i]
+            assert np.array_equal(t_alone[0], t_matrix[i])
+
 
 class TestRandomizationTest:
     def test_constant_outcomes_give_p_one(self):
