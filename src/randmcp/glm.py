@@ -195,6 +195,17 @@ def _check_outcome(design: DesignMatrix, y, family: str) -> np.ndarray:
     return y
 
 
+def _batch_of_one(design: DesignMatrix):
+    """``(arms_matrix, k, covariates)`` of a design, for the batched kernels.
+
+    The arms are read from the indicator columns; every other column,
+    an intercept included, is a shared covariate.
+    """
+    k = design.dose_columns
+    arms = np.argmax(design.values[:, :k], axis=1) if k else np.zeros(design.n, dtype=int)
+    return arms[None], k, design.values[:, k:]
+
+
 def fit_mle(design: DesignMatrix, y, family: str = "binomial",
             check_separation: bool = True) -> GlmFit:
     """Maximum likelihood fit: :func:`fit_mle_many` on a batch of one.
@@ -208,7 +219,7 @@ def fit_mle(design: DesignMatrix, y, family: str = "binomial",
     y = _check_outcome(design, y, family)
     if family == "gaussian":
         return _fit_gaussian(design, y)
-    fits = fit_mle_many(design.values[None], y)
+    fits = fit_mle_many(*_batch_of_one(design), y)
     beta = fits.coefficients[0]
     converged = bool(fits.iterations[0] < MLE_MAX_ITER)
     notes = []
@@ -238,7 +249,7 @@ def fit_mle(design: DesignMatrix, y, family: str = "binomial",
 
 
 def _fit_gaussian(design: DesignMatrix, y: np.ndarray, notes: tuple[str, ...] = ()) -> GlmFit:
-    fits = fit_gaussian_many(design.values[None], y)
+    fits = fit_gaussian_many(*_batch_of_one(design), y)
     beta = fits.coefficients[0]
     n, p = design.values.shape
     resid = y - design.values @ beta
@@ -272,8 +283,9 @@ def fit_firth(design: DesignMatrix, y, family: str = "binomial",
     Steps are halved while the penalized likelihood decreases.  The
     penalized surface can be multimodal under tight separation, so the
     zero start is polished with restarts along the converged direction
-    and the best mode wins; each start runs the batched Newton loop of
-    :func:`fit_firth_many` on a batch of one.  The covariance is the
+    and the best mode wins; the zero start runs the batched Newton loop
+    of :func:`fit_firth_many` as a batch of one, the two restarts as one
+    batch of two.  The covariance is the
     inverse penalized information at the optimum.  Continuous outcomes
     fall back to least squares (the penalty has no effect there),
     flagged in the fit notes.
@@ -284,17 +296,13 @@ def fit_firth(design: DesignMatrix, y, family: str = "binomial",
             design, y,
             notes=("firth penalty is a no-op for the gaussian family; used least squares",),
         )
-    x = design.values[None]
-
-    def newton(start):
-        beta, pen, ok, its = _firth_newton_many(x, y, start[None])
-        return beta[0], pen[0], ok[0], its[0]
-
-    beta, pen, converged, iterations = newton(np.zeros(design.n_columns))
+    designs = _BlockDesigns(*_batch_of_one(design))
+    start = np.zeros((1, design.n_columns))
+    (beta,), (pen,), (converged,), (iterations,) = _firth_newton_many(designs, y, start)
     notes: list[str] = []
     if converged and np.linalg.norm(beta) > 1e-8:
-        for scale in (2.0, 4.0):
-            other, other_pen, other_ok, other_iter = newton(scale * beta)
+        restarts = _firth_newton_many(designs.take([0, 0]), y, np.stack([2.0 * beta, 4.0 * beta]))
+        for other, other_pen, other_ok, other_iter in zip(*restarts):
             iterations += other_iter
             if other_ok and other_pen > pen + 1e-9 * (1.0 + abs(pen)):
                 beta, pen = other, other_pen
@@ -303,7 +311,7 @@ def fit_firth(design: DesignMatrix, y, family: str = "binomial",
     separation = detect_separation(design, y) if check_separation else SEP_UNCHECKED
     return GlmFit(
         coefficients=beta,
-        covariance=_batch_inv(_information(x, beta[None]))[0],
+        covariance=_binomial_covariances(designs, beta[None])[0],
         estimator="firth",
         family="binomial",
         converged=bool(converged),
@@ -510,7 +518,7 @@ def population_average_means(fit: GlmFit, design: DesignMatrix) -> PopulationAve
         raise ValueError("population averages need a fit with dose-indicator columns")
     fits = BatchFits(fit.coefficients[None], fit.covariance[None],
                      np.array([fit.converged]), np.array([fit.iterations]))
-    mu, cov = population_average_batch(fits, design.values[None], k)
+    mu, cov = population_average_batch(fits, k, design.values[:, k:])
     return PopulationAverage(mu=mu[0], covariance=cov[0])
 
 
@@ -538,61 +546,171 @@ def stack_designs(arms_matrix: np.ndarray, k: int, covariates=None) -> np.ndarra
     return np.concatenate([one_hot, np.broadcast_to(cov, (b, n, cov.shape[1]))], axis=2)
 
 
-def fit_mle_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
-    """Batched binomial IRLS; one fit per leading slice of ``designs``.
+def arm_offsets(arms_matrix: np.ndarray, k: int) -> np.ndarray:
+    """Bin ``arm + k * row`` of every entry of a (B, n) assignment matrix."""
+    arms = np.asarray(arms_matrix, dtype=np.intp)
+    return arms + k * np.arange(arms.shape[0])[:, None]
 
-    Slices are frozen once their score norm passes the tolerance, so a
-    slice converged exactly when its iteration count is below 25.
-    ``converged`` here combines that raw IRLS criterion with the
-    divergence bound; no separation check is performed.
+
+def arm_sums(offsets: np.ndarray, k: int, weights=None) -> np.ndarray:
+    """Per-row, per-arm sums of ``weights`` over :func:`arm_offsets` bins: (B, k).
+
+    ``weights`` is (B, n) or one (n,) vector shared by every row; without
+    weights the sums are integer arm counts.  One ``bincount`` covers all
+    rows, and each bin adds its row's entries in patient order, so a
+    row's sums do not depend on the other rows.
     """
-    b, n, p = designs.shape
+    b = offsets.shape[0]
+    if weights is not None:
+        weights = np.tile(weights, b) if np.ndim(weights) == 1 else np.ravel(weights)
+    return np.bincount(offsets.ravel(), weights, minlength=b * k).reshape(b, k)
+
+
+class _BlockDesigns:
+    """B designs of ``k`` one-hot arm columns plus covariates Z shared by all rows.
+
+    Stands in for the dense (B, n, k + q) stack of :func:`stack_designs`
+    without building it.  Products with the arm columns are gathers and
+    per-arm sums over the offsets ``arms + k * row``; products with Z are
+    ``np.einsum`` reductions.  Every reduction over patients is row-local
+    (``bincount`` or ``einsum``, never BLAS, whose kernels depend on the
+    batch shape), so a slice's numbers do not depend on its neighbours.
+    """
+
+    def __init__(self, arms_matrix, k: int, covariates=None):
+        arms = np.asarray(arms_matrix, dtype=np.intp)
+        if arms.ndim != 2:
+            raise ValueError("arm assignments must be a (B, n) matrix")
+        if k and arms.size and (arms.min() < 0 or arms.max() >= k):
+            raise ValueError(f"arm indices must lie in [0, {k})")
+        self.arms, self.k = arms, k
+        self.b, self.n = arms.shape
+        # Contiguous, so einsum runs the same kernels whatever view Z came from.
+        self.z = np.ascontiguousarray(_as_covariates(covariates, self.n))
+        if self.z.shape[0] != self.n:
+            raise ValueError("covariates must have one row per patient")
+        self.q = self.z.shape[1]
+        self.p = k + self.q
+        self.offsets = arm_offsets(arms, k)
+        # Per-patient products z z', flattened to (n, q*q).
+        self.zz = (self.z[:, :, None] * self.z[:, None, :]).reshape(self.n, self.q ** 2)
+
+    def take(self, rows) -> "_BlockDesigns":
+        """The designs of the selected slices."""
+        return _BlockDesigns(self.arms[rows], self.k, self.z)
+
+    def _gather(self, per_arm: np.ndarray) -> np.ndarray:
+        """Entry ``a_i`` of each slice's (k,) vector, per patient: (B, n)."""
+        return np.ascontiguousarray(per_arm).ravel()[self.offsets]
+
+    def eta(self, beta: np.ndarray) -> np.ndarray:
+        """Linear predictors ``X beta`` of every slice: (B, n)."""
+        eta = np.einsum("nq,bq->bn", self.z, beta[:, self.k:])
+        if self.k:
+            eta += self._gather(beta[:, :self.k])
+        return eta
+
+    def xt(self, v: np.ndarray) -> np.ndarray:
+        """``X'v`` for every slice, ``v`` of shape (B, n): (B, p)."""
+        cov = np.einsum("bn,nq->bq", v, self.z)
+        if not self.k:
+            return cov
+        return np.concatenate([arm_sums(self.offsets, self.k, v), cov], axis=1)
+
+    def xtwx(self, w: np.ndarray) -> np.ndarray:
+        """``X'WX`` for every slice, from blocks: (B, p, p).
+
+        The arm block is diagonal (per-arm sums of w), the arm-covariate
+        block holds per-arm sums of ``w z`` and the covariate block sums
+        ``w z z'``.
+        """
+        b, k, q = self.b, self.k, self.q
+        info = np.zeros((b, self.p, self.p))
+        info[:, k:, k:] = np.einsum("bn,nr->br", w, self.zz).reshape(b, q, q)
+        if k:
+            arm = np.arange(k)
+            info[:, arm, arm] = arm_sums(self.offsets, k, w)
+            for j in range(q):
+                cross = arm_sums(self.offsets, k, w * self.z[:, j])
+                info[:, :k, k + j] = cross
+                info[:, k + j, :k] = cross
+        return info
+
+    def hat(self, w: np.ndarray, inv: np.ndarray) -> np.ndarray:
+        """Diagonals of ``W^1/2 X V X' W^1/2`` for each slice's ``V = inv``: (B, n).
+
+        ``h_i = w_i (V[a,a] + z_i'(V[a,Z] + V[Z,a]) + z_i' V[Z,Z] z_i)`` with
+        ``a = a_i``, built by gathers from V.
+        """
+        k = self.k
+        quad = np.einsum("br,nr->bn", inv[:, k:, k:].reshape(self.b, self.q ** 2), self.zz)
+        if k:
+            quad += self._gather(np.diagonal(inv[:, :k, :k], axis1=1, axis2=2))
+            for j in range(self.q):
+                quad += self._gather(inv[:, :k, k + j] + inv[:, k + j, :k]) * self.z[:, j]
+        return w * quad
+
+
+def _binomial_covariances(designs: _BlockDesigns, beta: np.ndarray) -> np.ndarray:
+    """Inverse binomial information ``(X'WX)^-1`` of every slice at its coefficients."""
+    pi = expit(designs.eta(beta))
+    return _batch_inv(designs.xtwx(pi * (1.0 - pi)))
+
+
+def fit_mle_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> BatchFits:
+    """Batched binomial IRLS; one fit per row of the (B, n) ``arms_matrix``.
+
+    Row ``b``'s design is ``k`` dose indicators for ``arms_matrix[b]``
+    plus the shared ``covariates`` (n, q); with ``k = 0`` the design is
+    the covariates alone.  Slices are frozen once their score norm
+    passes the tolerance, so a slice converged exactly when its
+    iteration count is below 25.  ``converged`` here combines that raw
+    IRLS criterion with the divergence bound; no separation check is
+    performed.
+    """
+    designs = _BlockDesigns(arms_matrix, k, covariates)
     y = np.asarray(y, dtype=float)
-    beta = np.zeros((b, p))
-    active = np.ones(b, dtype=bool)
-    iterations = np.zeros(b, dtype=int)
-    converged = np.zeros(b, dtype=bool)
+    beta = np.zeros((designs.b, designs.p))
+    active = np.arange(designs.b)
+    iterations = np.zeros(designs.b, dtype=int)
+    converged = np.zeros(designs.b, dtype=bool)
+    xa = designs
     for _ in range(MLE_MAX_ITER):
-        if not np.any(active):
-            break
-        xa = designs[active]
         ba = beta[active]
-        pi = expit(np.einsum("bnp,bp->bn", xa, ba))
-        score = np.einsum("bnp,bn->bp", xa, y[None, :] - pi)
+        pi = expit(xa.eta(ba))
+        score = xa.xt(y - pi)
         done = np.linalg.norm(score, axis=1) < SCORE_TOL
         if np.any(done):
-            idx = np.flatnonzero(active)[done]
-            converged[idx] = True
-            active[idx] = False
+            converged[active[done]] = True
             keep = ~done
-            if not np.any(keep):
+            active = active[keep]
+            if not active.size:
                 break
-            xa, ba, pi, score = xa[keep], ba[keep], pi[keep], score[keep]
-        w = pi * (1.0 - pi)
-        info = np.einsum("bnp,bn,bnq->bpq", xa, w, xa)
-        step = batch_solve(info, score)
+            xa, ba, pi, score = xa.take(keep), ba[keep], pi[keep], score[keep]
+        step = batch_solve(xa.xtwx(pi * (1.0 - pi)), score)
         beta[active] = ba + step
         iterations[active] += 1
 
-    covariances = _batch_inv(_information(designs, beta))
+    covariances = _binomial_covariances(designs, beta)
     converged &= np.max(np.abs(beta), axis=1) <= DIVERGENCE_BOUND
     return BatchFits(beta, covariances, converged, iterations)
 
 
-def fit_firth_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
+def fit_firth_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> BatchFits:
     """Batched Firth fits: the Newton loop of :func:`fit_firth`, slice by slice.
 
-    Uses the zero start only (no multimodality polish): the batch path
-    serves re-randomization refits, whose separation certificates run
-    through the dose indicators where the penalized surface is benign.
+    Designs are as in :func:`fit_mle_many`.  Uses the zero start only
+    (no multimodality polish): the batch path serves re-randomization
+    refits, whose separation certificates run through the dose
+    indicators where the penalized surface is benign.
     """
-    b, n, p = designs.shape
+    designs = _BlockDesigns(arms_matrix, k, covariates)
     beta, _, converged, iterations = _firth_newton_many(
-        designs, np.asarray(y, dtype=float), np.zeros((b, p)))
-    return BatchFits(beta, _batch_inv(_information(designs, beta)), converged, iterations)
+        designs, np.asarray(y, dtype=float), np.zeros((designs.b, designs.p)))
+    return BatchFits(beta, _binomial_covariances(designs, beta), converged, iterations)
 
 
-def _firth_newton_many(designs: np.ndarray, y: np.ndarray, start: np.ndarray):
+def _firth_newton_many(designs: _BlockDesigns, y: np.ndarray, start: np.ndarray):
     """Newton iteration on the modified score from one start per slice.
 
     Returns ``(beta, penalized_loglik, converged, iterations)``.
@@ -600,31 +718,25 @@ def _firth_newton_many(designs: np.ndarray, y: np.ndarray, start: np.ndarray):
     b = start.shape[0]
     beta = start.copy()
     pen = _penalized_loglik_batch(designs, y, beta)
-    active = np.ones(b, dtype=bool)
+    active = np.arange(b)
     iterations = np.zeros(b, dtype=int)
     converged = np.zeros(b, dtype=bool)
+    xa = designs
     for _ in range(FIRTH_MAX_ITER):
-        if not np.any(active):
-            break
-        xa = designs[active]
         ba = beta[active]
-        pi = expit(np.einsum("bnp,bp->bn", xa, ba))
+        pi = expit(xa.eta(ba))
         w = pi * (1.0 - pi)
-        xw = xa * np.sqrt(w)[:, :, None]
-        info = np.einsum("bnp,bnq->bpq", xw, xw)
-        inv = _batch_inv(info)
-        # Hat diagonals h_i = [W^1/2 X (X'WX)^-1 X'W^1/2]_ii.
-        hat = np.einsum("bnp,bpq,bnq->bn", xw, inv, xw)
-        u_star = np.einsum("bnp,bn->bp", xa, y[None, :] - pi + hat * (0.5 - pi))
+        info = xa.xtwx(w)
+        hat = xa.hat(w, _batch_inv(info))
+        u_star = xa.xt(y[None, :] - pi + hat * (0.5 - pi))
         done = np.linalg.norm(u_star, axis=1) < SCORE_TOL
         if np.any(done):
-            idx = np.flatnonzero(active)[done]
-            converged[idx] = True
-            active[idx] = False
+            converged[active[done]] = True
             keep = ~done
-            if not np.any(keep):
+            active = active[keep]
+            if not active.size:
                 break
-            xa, ba, pi, u_star, info = xa[keep], ba[keep], pi[keep], u_star[keep], info[keep]
+            xa, ba, u_star, info = xa.take(keep), ba[keep], u_star[keep], info[keep]
         step = batch_solve(info, u_star)
         big = np.max(np.abs(step), axis=1) / FIRTH_MAX_STEP
         step = np.where(big[:, None] > 1.0, step / np.maximum(big, 1.0)[:, None], step)
@@ -640,21 +752,24 @@ def _firth_newton_many(designs: np.ndarray, y: np.ndarray, start: np.ndarray):
                 break
             step[worse] *= 0.5
             new_beta[worse] = ba[worse] + step[worse]
-            new_pen[worse] = _penalized_loglik_batch(xa[worse], y, new_beta[worse])
+            new_pen[worse] = _penalized_loglik_batch(xa.take(worse), y, new_beta[worse])
         beta[active] = new_beta
         pen[active] = new_pen
         iterations[active] += 1
     return beta, pen, converged, iterations
 
 
-def fit_gaussian_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
-    """Batched least squares, by the normal equations, with classical covariances."""
-    b, n, p = designs.shape
-    y = np.asarray(y, dtype=float)
-    xtx = np.einsum("bnp,bnq->bpq", designs, designs)
-    xty = np.einsum("bnp,n->bp", designs, y)
-    beta = batch_solve(xtx, xty)
-    resid = y[None, :] - np.einsum("bnp,bp->bn", designs, beta)
+def fit_gaussian_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> BatchFits:
+    """Batched least squares, by the normal equations, with classical covariances.
+
+    Designs are as in :func:`fit_mle_many`.
+    """
+    designs = _BlockDesigns(arms_matrix, k, covariates)
+    b, n, p = designs.b, designs.n, designs.p
+    y = np.broadcast_to(np.asarray(y, dtype=float), (b, n))
+    xtx = designs.xtwx(np.broadcast_to(1.0, (b, n)))
+    beta = batch_solve(xtx, designs.xt(y))
+    resid = y - designs.eta(beta)
     rss = np.einsum("bn,bn->b", resid, resid)
     sigma2 = rss / (n - p) if n > p else np.zeros(b)
     covariances = _batch_inv(xtx) * sigma2[:, None, None]
@@ -664,39 +779,25 @@ def fit_gaussian_many(designs: np.ndarray, y: np.ndarray) -> BatchFits:
     )
 
 
-def population_average_batch(fits: BatchFits, designs: np.ndarray, k: int):
+def population_average_batch(fits: BatchFits, k: int, covariates=None):
     """Batched version of :func:`population_average_means`.
 
-    Returns ``(mu, cov)`` with shapes (B, k) and (B, k, k).
+    ``covariates`` (n, q) are the columns after the ``k`` dose
+    indicators.  Returns ``(mu, cov)`` with shapes (B, k) and (B, k, k).
     """
-    b, n, p_total = designs.shape
-    p = p_total - k
-    if p:
-        xbar = designs[:, :, k:].mean(axis=1)  # (B, p) identical rows in practice
-        l_mat = np.concatenate(
-            [np.broadcast_to(np.eye(k), (b, k, k)), np.repeat(xbar[:, None, :], k, axis=1)],
-            axis=2,
-        )
-    else:
-        l_mat = np.broadcast_to(np.eye(k), (b, k, k))
-    mu = np.einsum("bkp,bp->bk", l_mat, fits.coefficients)
-    cov = np.einsum("bkp,bpq,blq->bkl", l_mat, fits.covariances, l_mat)
+    cov = _as_covariates(covariates, None)
+    # Arm means delta_j + xbar' gamma: the same linear map L for every slice.
+    l_mat = np.hstack([np.eye(k), np.tile(cov.mean(axis=0), (k, 1))]) if cov.shape[1] else np.eye(k)
+    mu = np.einsum("kp,bp->bk", l_mat, fits.coefficients)
+    cov = np.einsum("kp,bpq,lq->bkl", l_mat, fits.covariances, l_mat)
     return mu, cov
 
 
-def _information(designs: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Binomial information ``X'WX`` of every slice at its coefficients."""
-    pi = expit(np.einsum("bnp,bp->bn", designs, beta))
-    w = pi * (1.0 - pi)
-    return np.einsum("bnp,bn,bnq->bpq", designs, w, designs)
-
-
-def _penalized_loglik_batch(designs: np.ndarray, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    eta = np.einsum("bnp,bp->bn", designs, beta)
+def _penalized_loglik_batch(designs: _BlockDesigns, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    eta = designs.eta(beta)
     pi = expit(eta)
-    w = np.clip(pi * (1.0 - pi), 1e-300, None)
-    info = np.einsum("bnp,bn,bnq->bpq", designs, w, designs)
-    sign, logdet = np.linalg.slogdet(info)
+    w = np.maximum(pi * (1.0 - pi), 1e-300)
+    sign, logdet = np.linalg.slogdet(designs.xtwx(w))
     ll = np.sum(y[None, :] * eta - np.logaddexp(0.0, eta), axis=1)
     out = ll + 0.5 * logdet
     out[sign <= 0] = -np.inf

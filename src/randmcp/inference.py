@@ -160,15 +160,15 @@ def glm_statistics_batch(
     """
     k = data.grid.k
     mu0s, labels = shape_matrix(candidates, data.grid)
-    designs = glm.stack_designs(arms_matrix, k, data.covariates)
     family = _family(data)
     if family == "gaussian":
-        fits = glm.fit_gaussian_many(designs, data.outcomes)
+        fit_many = glm.fit_gaussian_many
     elif estimator == "firth":
-        fits = glm.fit_firth_many(designs, data.outcomes)
+        fit_many = glm.fit_firth_many
     else:
-        fits = glm.fit_mle_many(designs, data.outcomes)
-    mu, cov = glm.population_average_batch(fits, designs, k)
+        fit_many = glm.fit_mle_many
+    fits = fit_many(arms_matrix, k, data.covariates, data.outcomes)
+    mu, cov = glm.population_average_batch(fits, k, data.covariates)
     if frozen_contrasts is not None:
         c = np.broadcast_to(frozen_contrasts.vectors, (arms_matrix.shape[0],) + frozen_contrasts.vectors.shape)
     else:
@@ -197,7 +197,7 @@ def _classify_separation_batch(data: TrialDataset, arms_matrix: np.ndarray) -> n
 
 def _arm_counts(arms_matrix: np.ndarray, k: int) -> np.ndarray:
     """Patients per arm in every assignment row: integers of shape (B, k)."""
-    return np.stack([(arms_matrix == j).sum(axis=1) for j in range(k)], axis=1)
+    return glm.arm_sums(glm.arm_offsets(arms_matrix, k), k)
 
 
 def residual_statistics_batch(
@@ -219,9 +219,10 @@ def residual_statistics_batch(
     """
     b, n = arms_matrix.shape
     r = np.asarray(residual, dtype=float)
-    counts = _arm_counts(arms_matrix, k).astype(float)
-    sums = np.stack([np.where(arms_matrix == j, r[None, :], 0.0).sum(axis=1) for j in range(k)], axis=1)
-    sqs = np.stack([np.where(arms_matrix == j, r[None, :] ** 2, 0.0).sum(axis=1) for j in range(k)], axis=1)
+    offsets = glm.arm_offsets(arms_matrix, k)
+    counts = glm.arm_sums(offsets, k).astype(float)
+    sums = glm.arm_sums(offsets, k, r)
+    sqs = glm.arm_sums(offsets, k, r ** 2)
     valid = np.all(counts >= 2, axis=1)
     safe = np.where(counts >= 1, counts, 1.0)
     means = sums / safe
@@ -524,9 +525,11 @@ def max_tail_probability(
     divides each draw by an independent chi scale, giving the
     multivariate-t reference.  The budget is split into ``reps``
     independently scrambled Sobol replicates; the spread across
-    replicates yields the reported integration error.  Non-PSD
-    correlation inputs are repaired by clipping eigenvalues at 1e-10
-    (flagged).
+    replicates yields the reported integration error.  Eigenvalues of
+    ``corr`` below 1e-10 of the largest are set to exactly zero, so
+    rounding noise in a rank-deficient correlation (more contrasts than
+    arms minus one) adds no direction to the draws; a correlation with
+    an eigenvalue below -1e-10 is flagged as repaired.
     """
     corr = np.atleast_2d(np.asarray(corr, dtype=float))
     m = corr.shape[0]
@@ -535,7 +538,7 @@ def max_tail_probability(
         return float(tail), 0.0, False
     eigval, eigvec = np.linalg.eigh(corr)
     repaired = bool(eigval.min() < -1e-10)
-    eigval = np.clip(eigval, 1e-10, None)
+    eigval = np.where(eigval < 1e-10 * eigval.max(), 0.0, eigval)
     transform = eigvec * np.sqrt(eigval)  # (m, m): x = z @ transform.T
 
     rng = rng or np.random.default_rng()

@@ -73,3 +73,40 @@ def maximize_gain_numerically(mu0, S, seed=0, starts=8):
             best, best_val = res.x, -res.fun
     assert best is not None
     return best, best_val
+
+
+class DenseDesigns:
+    """Dense-stack version of the operations of ``glm._BlockDesigns``.
+
+    Every product is an ``einsum`` over the (B, n, p) stack that
+    ``stack_designs`` builds (the covariates alone when k = 0).  Patched
+    in for ``glm._BlockDesigns``, it runs the batched fit loops on the
+    dense design, as the kernels did before they used its block structure.
+    """
+
+    def __init__(self, arms_matrix, k, covariates=None):
+        from randmcp.glm import stack_designs
+
+        self.arms, self.k, self.covariates = np.asarray(arms_matrix), k, covariates
+        self.b, self.n = self.arms.shape
+        if k:
+            self.x = stack_designs(self.arms, k, covariates)
+        else:
+            z = np.asarray(covariates, dtype=float).reshape(self.n, -1)
+            self.x = np.broadcast_to(z, (self.b,) + z.shape)
+        self.p = self.x.shape[2]
+
+    def take(self, rows):
+        return DenseDesigns(self.arms[rows], self.k, self.covariates)
+
+    def eta(self, beta):
+        return np.einsum("bnp,bp->bn", self.x, beta)
+
+    def xt(self, v):
+        return np.einsum("bnp,bn->bp", self.x, v)
+
+    def xtwx(self, w):
+        return np.einsum("bnp,bn,bnq->bpq", self.x, w, self.x)
+
+    def hat(self, w, inv):
+        return w * np.einsum("bnp,bpq,bnq->bn", self.x, inv, self.x)

@@ -118,6 +118,30 @@ class TestResidualStatistic:
         assert s1 == pytest.approx(s2, rel=1e-12)
 
 
+    @pytest.mark.parametrize("contrasts", ["fixed", "per_row"])
+    def test_row_does_not_depend_on_its_batch_neighbours(self, contrasts):
+        # Fixed contrasts (RA/PBD) and per-row contrasts (CR); one
+        # neighbour has a single-patient arm and is flagged invalid.
+        rng = np.random.default_rng(22)
+        arms = rng.permutation(np.repeat([0, 1, 2, 3], [7, 14, 14, 14]))
+        r = rng.normal(size=49)
+        rows = np.stack([rng.permutation(arms) for _ in range(5)])
+        thin = np.where(arms == 0, 1, arms)
+        thin[0] = 0
+        batch = np.vstack([rows[:2], thin, rows[2:]])
+        cands = default_candidate_set()
+        if contrasts == "fixed":
+            kwargs = {"contrasts": contrast_matrix(cands, GRID4, arm_sizes=(7, 14, 14, 14))}
+        else:
+            kwargs = {"mu0s": shape_matrix(cands, GRID4)[0]}
+        stats, t_matrix, _, diag = residual_statistics_batch(r, batch, 4, **kwargs)
+        assert np.isnan(stats[2]) and diag["invalid_rows"] == 1
+        for i, row in zip([0, 1, 3, 4, 5], rows):
+            alone, t_alone, _, _ = residual_statistics_batch(r, row[None], 4, **kwargs)
+            assert alone[0] == stats[i]
+            assert np.array_equal(t_alone[0], t_matrix[i])
+
+
 class TestRefitStatistic:
     def test_equal_arms_give_zero_statistic(self):
         data = toy_dataset([0, 0, 1, 1], [1.0, 0.0, 1.0, 0.0], GRID2)
@@ -411,6 +435,30 @@ class TestMaxTailProbability:
         assert repaired
         assert 0.0 <= p <= 1.0
 
+
+    def test_rounding_in_rank_deficient_corr_leaves_p(self):
+        # Five contrasts over four arms: corr has rank 3, and rounding
+        # leaves its two null eigenvalues at ~1e-16 of either sign.  A
+        # 1-ulp change of some entries rotates that null space.
+        contrasts = contrast_matrix(default_candidate_set(), GRID4,
+                                    arm_sizes=(7, 14, 14, 14))
+        cross = contrasts.vectors @ np.diag(1.0 / np.array([7.0, 14, 14, 14])) \
+            @ contrasts.vectors.T
+        scale = np.sqrt(np.diag(cross))
+        corr = cross / np.outer(scale, scale)
+        np.fill_diagonal(corr, 1.0)
+        rng = np.random.default_rng(23)
+        upper = np.triu_indices(5, 1)
+        for t in np.arange(1.0, 1.5, 0.05):
+            bumped = corr.copy()
+            direction = rng.choice([-1.0, 0.0, 1.0], size=upper[0].size)
+            for i, j, d in zip(*upper, direction):
+                if d:
+                    bumped[i, j] = bumped[j, i] = np.nextafter(corr[i, j], 2.0 * d)
+            p, _, repaired = max_tail_probability(t, corr, rng=substream(2, 0))
+            q, _, _ = max_tail_probability(t, bumped, rng=substream(2, 0))
+            assert p == q
+            assert not repaired
 
 class TestPopulationTest:
     def _trial_data(self, seed=0, pk=0.8, n=49):
