@@ -601,7 +601,7 @@ class _BlockDesigns:
 
     def _gather(self, per_arm: np.ndarray) -> np.ndarray:
         """Entry ``a_i`` of each slice's (k,) vector, per patient: (B, n)."""
-        return np.ascontiguousarray(per_arm).ravel()[self.offsets]
+        return np.ravel(per_arm)[self.offsets]
 
     def eta(self, beta: np.ndarray) -> np.ndarray:
         """Linear predictors ``X beta`` of every slice: (B, n)."""
