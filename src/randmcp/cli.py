@@ -44,7 +44,7 @@ from .simulate import (
     scenario_to_dict,
     spec_from_dict,
 )
-from .glm import SEP_NONE
+from .glm import SEP_NONE, SEP_UNCHECKED
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -308,7 +308,7 @@ def _cmd_analyze(args) -> int:
     separation = diagnostics.get("fit_separation",
                                  diagnostics.get("observed_separation", SEP_NONE))
     if method.estimator == "mle" and method.statistic == "glm" \
-            and separation not in (SEP_NONE, "unchecked"):
+            and separation not in (SEP_NONE, SEP_UNCHECKED):
         result["warning"] = (
             f"{separation} separation detected: maximum likelihood estimates do not "
             "exist and this p-value is not meaningful; use a firth-based method"

@@ -31,6 +31,8 @@ SEP_NONE = "none"
 SEP_QUASI = "quasicomplete"
 SEP_COMPLETE = "complete"
 SEP_UNCHECKED = "unchecked"
+# Separation codes 0, 1, 2 index this table.
+SEP_NAMES = (SEP_NONE, SEP_QUASI, SEP_COMPLETE)
 
 
 class RankDeficientDesignError(ValueError):
@@ -335,22 +337,23 @@ def detect_separation(design: DesignMatrix, y, method: str = "auto") -> str:
     ``(2y_i - 1) x_i'b > 0`` for every observation; quasicomplete means
     the weak version holds with equality somewhere (and a nonzero
     margin somewhere else).  Either way the logistic MLE does not
-    exist.  The general path solves two small linear programs; designs
-    made of dose indicators plus a single covariate take an equivalent
-    exact threshold scan, which the test suite cross-validates against
-    the LP.
+    exist.  Designs of dose indicators, or of an intercept (one arm),
+    plus at most one covariate run :func:`separation_batch` as a batch
+    of one; every other design solves two small linear programs.
     """
     y = _validate_binary(np.asarray(y, dtype=float))
     if method not in ("auto", "lp", "threshold"):
         raise ValueError(f"unknown separation method {method!r}")
-    k = design.dose_columns
-    single_cov = k >= 1 and design.covariate_columns == 1
-    if method == "threshold" and not single_cov:
-        raise ValueError("threshold method needs dose indicators plus one covariate")
-    if method in ("auto", "threshold") and single_cov:
-        arms = np.argmax(design.values[:, :k], axis=1)
-        return _separation_threshold_scan(arms, y, design.values[:, k], k)
-    return _separation_lp(design.values, y)
+    arms, k, x = _batch_of_one(design)
+    if not k and x.shape[1] and np.all(x[:, 0] == 1.0):
+        k, x = 1, x[:, 1:]  # the intercept is the indicator of one arm
+    scannable = k >= 1 and x.shape[1] <= 1
+    if method == "threshold" and not scannable:
+        raise ValueError("threshold method needs dose indicators or an intercept "
+                         "plus at most one covariate")
+    if method == "lp" or not scannable:
+        return _separation_lp(design.values, y)
+    return SEP_NAMES[int(separation_batch(arms, y, x, k)[0])]
 
 
 def _separation_lp(x: np.ndarray, y: np.ndarray) -> str:
@@ -387,69 +390,28 @@ def _separation_lp(x: np.ndarray, y: np.ndarray) -> str:
     return SEP_NONE
 
 
-def _separation_threshold_scan(arms: np.ndarray, y: np.ndarray, x: np.ndarray, k: int) -> str:
-    """Exact separation classification for indicator-plus-one-covariate designs.
+def separation_batch(arms_matrix: np.ndarray, y: np.ndarray, x, k: int) -> np.ndarray:
+    """Separation code of every assignment row, an index into :data:`SEP_NAMES`.
 
-    With arm intercepts free, a separating direction reduces to a
-    per-arm threshold on the covariate shared across arms in sign:
-    successes on one side, failures on the other.  Scanning both signs
-    plus the degenerate-arm certificate (an arm with only one outcome
-    level diverges on its own indicator) covers every case.
-    """
-    # An arm with a single outcome level diverges on its own indicator,
-    # independent of any covariate direction.
-    degenerate = False
-    for j in range(k):
-        yj = y[arms == j]
-        if yj.size and (np.all(yj == 1.0) or np.all(yj == 0.0)):
-            degenerate = True
-            break
-    quasi = False
-    for sign in (1.0, -1.0):
-        u = sign * x
-        weak_all = True
-        strict_all = True
-        any_slack = False
-        for j in range(k):
-            mask = arms == j
-            if not np.any(mask):
-                continue
-            yj = y[mask]
-            uj = u[mask]
-            succ = uj[yj == 1]
-            fail = uj[yj == 0]
-            if succ.size == 0 or fail.size == 0:
-                any_slack = True
-                continue
-            lo = fail.max()
-            hi = succ.min()
-            if hi > lo:
-                any_slack = True
-            elif hi == lo:
-                strict_all = False
-                if succ.max() > hi or fail.min() < lo:
-                    any_slack = True
-            else:
-                weak_all = False
-                break
-        if weak_all and strict_all and any_slack:
-            return SEP_COMPLETE
-        if weak_all and any_slack:
-            quasi = True
-    if quasi or degenerate:
-        return SEP_QUASI
-    return SEP_NONE
-
-
-def separation_batch(arms_matrix: np.ndarray, y: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized threshold-scan classification over many assignments.
-
-    Returns an integer array (0 none, 1 quasicomplete, 2 complete) with
-    one entry per row of ``arms_matrix``; exact for designs of dose
-    indicators plus the single covariate ``x``.
+    Row ``b``'s design is the ``k`` dose indicators of ``arms_matrix[b]``
+    plus the shared covariates ``x``: None, shape (n,) or shape (n, q).
+    With at most one covariate the arm intercepts are free, so a
+    separating direction reduces to a per-arm threshold on the
+    covariate, shared across arms in sign: successes on one side,
+    failures on the other.  Scanning both signs plus the
+    degenerate-arm certificate (an arm with a single outcome level
+    diverges on its own indicator) is exact; no covariate is the scan
+    of ``x = 0``.  Wider designs solve the linear programs row by row.
     """
     b, n = arms_matrix.shape
     y = np.asarray(y, dtype=float)
+    z = _as_covariates(x, n)
+    if z.shape[1] > 1:
+        return np.array([
+            SEP_NAMES.index(_separation_lp(np.hstack([np.eye(k)[arms], z]), y))
+            for arms in arms_matrix
+        ], dtype=int)
+    x = z[:, 0] if z.shape[1] else np.zeros(n)
     complete = np.zeros(b, dtype=bool)
     quasi = np.zeros(b, dtype=bool)
     degenerate = np.zeros(b, dtype=bool)

@@ -50,6 +50,8 @@ METHOD_NUMBERS = {
     "residual_firth": 5,
 }
 _MAX_REDRAW_ROUNDS = 1000
+# Reference-set sequences evaluated per batch by the exact test.
+EXACT_CHUNK = 20_000
 
 
 class DegenerateVarianceError(RuntimeError):
@@ -179,20 +181,8 @@ def glm_statistics_batch(
     stats = t_matrix.max(axis=1)
     diag = {"nonconverged_refits": int(np.sum(~fits.converged))}
     if track_separation and family == "binomial" and estimator == "mle":
-        diag["separation_codes"] = _classify_separation_batch(data, arms_matrix)
+        diag["separation_codes"] = glm.separation_batch(arms_matrix, data.outcomes, data.covariates, k)
     return stats, t_matrix, labels, diag
-
-
-def _classify_separation_batch(data: TrialDataset, arms_matrix: np.ndarray) -> np.ndarray:
-    k = data.grid.k
-    if data.n_covariates == 1:
-        return glm.separation_batch(arms_matrix, data.outcomes, data.covariates[:, 0], k)
-    codes = {"none": 0, "quasicomplete": 1, "complete": 2}
-    out = np.zeros(arms_matrix.shape[0], dtype=int)
-    for i, arms in enumerate(arms_matrix):
-        design = glm.design_from_assignments(arms, k, data.covariates)
-        out[i] = codes[glm.detect_separation(design, data.outcomes)]
-    return out
 
 
 def _arm_counts(arms_matrix: np.ndarray, k: int) -> np.ndarray:
@@ -294,26 +284,32 @@ def residual_design_contrasts(
 
 def _draw_valid_sequences(
     spec: RandomizationSpec,
-    n_rand: int,
+    sequences: np.ndarray,
     rng: np.random.Generator,
     min_arm: int,
 ) -> tuple[np.ndarray, int]:
-    """Sample sequences, redrawing any whose smallest arm is below ``min_arm``."""
+    """Replace the rows of ``sequences`` whose smallest arm is below ``min_arm``.
+
+    Only complete randomization can leave an arm that small.  The valid
+    rows are kept in order, fresh valid draws follow them, and the
+    number of rows drawn again is returned with them.
+    """
     if spec.procedure != CR or min_arm == 0:
-        return sample_sequences(spec, n_rand, rng), 0
+        return sequences, 0
     rows = []
     redraws = 0
-    need = n_rand
+    need = sequences.shape[0]
+    batch = sequences
     for _ in range(_MAX_REDRAW_ROUNDS):
-        batch = sample_sequences(spec, need, rng)
         ok = np.all(_arm_counts(batch, spec.k) >= min_arm, axis=1)
         redraws += int(np.sum(~ok))
         rows.append(batch[ok])
         need -= int(np.sum(ok))
         if need == 0:
             return np.concatenate(rows, axis=0), redraws
+        batch = sample_sequences(spec, need, rng)
     raise DegenerateVarianceError(
-        f"could not draw {n_rand} sequences with every arm >= {min_arm} patients"
+        f"could not draw {sequences.shape[0]} sequences with every arm >= {min_arm} patients"
     )
 
 
@@ -393,15 +389,10 @@ def randomization_test(
         data, spec, method, candidates, track_separation=True,
     )
     if sequences is None:
-        sequences, redraws = _draw_valid_sequences(spec, method.n_rand, rng, min_arm)
-        if redraws:
-            diagnostics["redrawn_sequences"] = redraws
-    elif spec.procedure == CR:
-        bad = ~np.all(_arm_counts(sequences, spec.k) >= min_arm, axis=1)
-        if np.any(bad):
-            extra, redraws = _draw_valid_sequences(spec, int(bad.sum()), rng, min_arm)
-            sequences = np.concatenate([sequences[~bad], extra], axis=0)
-            diagnostics["redrawn_sequences"] = int(bad.sum()) + redraws
+        sequences = sample_sequences(spec, method.n_rand, rng)
+    sequences, redraws = _draw_valid_sequences(spec, sequences, rng, min_arm)
+    if redraws:
+        diagnostics["redrawn_sequences"] = redraws
     if fit is not None:
         diagnostics["residual_fit"] = {
             "estimator": fit.estimator, "iterations": fit.iterations,
@@ -411,8 +402,7 @@ def randomization_test(
     stats, t_matrix, _, diag = evaluate(np.concatenate([data.arms[None, :], sequences], axis=0))
     codes = diag.pop("separation_codes", None)
     if codes is not None:
-        names = {0: glm.SEP_NONE, 1: glm.SEP_QUASI, 2: glm.SEP_COMPLETE}
-        diag["observed_separation"] = names[int(codes[0])]
+        diag["observed_separation"] = glm.SEP_NAMES[int(codes[0])]
         diag["separated_refits"] = int(np.sum(codes[1:] > 0))
     diagnostics.update(diag)
 
@@ -443,7 +433,6 @@ def exact_randomization_pvalue(
     method: TestMethod,
     candidates: CandidateSet,
     cap: int = ENUMERATION_CAP,
-    chunk: int = 20_000,
 ) -> TestOutcome:
     """Exact p-value by weighted enumeration of the whole reference set.
 
@@ -485,7 +474,7 @@ def exact_randomization_pvalue(
         buf.append(seq)
         probs.append(prob)
         total += 1
-        if len(buf) >= chunk:
+        if len(buf) >= EXACT_CHUNK:
             flush()
     flush()
 

@@ -173,7 +173,7 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 def _trial_diagnostics(data: TrialDataset, covariate_in_analysis: bool) -> dict:
-    """Separation state of the analysis design plus degenerate-arm flags."""
+    """Separation code (an index into ``glm.SEP_NAMES``) plus degenerate-arm flags."""
     k = data.grid.k
     sizes = data.arm_sizes()
     succ = np.bincount(data.arms, weights=data.outcomes, minlength=k)
@@ -183,25 +183,8 @@ def _trial_diagnostics(data: TrialDataset, covariate_in_analysis: bool) -> dict:
         "placebo_degenerate": bool(degenerate[0] and sizes[0] > 0),
     }
     if data.endpoint == "binary":
-        if covariate_in_analysis and data.n_covariates == 1:
-            code = int(separation_batch(data.arms[None, :], data.outcomes,
-                                        data.covariates[:, 0], k)[0])
-        elif not covariate_in_analysis or data.n_covariates == 0:
-            # Indicators only: any degenerate arm is quasicomplete, all
-            # degenerate is complete.
-            if np.all(degenerate):
-                code = 2
-            elif np.any(degenerate):
-                code = 1
-            else:
-                code = 0
-        else:
-            from .glm import design_from_assignments, detect_separation
-            design = design_from_assignments(data.arms, k, data.covariates)
-            code = {"none": 0, "quasicomplete": 1, "complete": 2}[
-                detect_separation(design, data.outcomes)
-            ]
-        out["separation_code"] = code
+        x = data.covariates if covariate_in_analysis else None
+        out["separation_code"] = int(separation_batch(data.arms[None, :], data.outcomes, x, k)[0])
     return out
 
 

@@ -107,6 +107,28 @@ class TestGaussian:
         assert np.allclose(firth.coefficients, ls.coefficients)
 
 
+@st.composite
+def separation_problems(draw):
+    """Arms (B, n) over k = 1..5, q = 0..1 covariates and binary outcomes.
+
+    k = 1 is the covariate-only design, its intercept the one arm.  The
+    covariate is rounded to provoke ties, and some rows lose an arm.
+    """
+    k = draw(st.integers(1, 5))
+    q = draw(st.integers(0, 1))
+    n = draw(st.integers(2 * k + 2, 30))
+    b = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.round(rng.normal(size=(n, q)), 1)
+    y = (rng.random(n) < draw(st.sampled_from([0.1, 0.3, 0.5]))).astype(float)
+    arms = rng.integers(0, k, size=(b, n))
+    if k > 1:
+        for row in draw(st.lists(st.integers(0, b - 1), max_size=2, unique=True)):
+            gone = draw(st.integers(0, k - 1))
+            arms[row][arms[row] == gone] = (gone + 1) % k
+    return arms, k, x, y
+
+
 class TestSeparationDetection:
     def test_threshold_separated_is_complete(self):
         design = covariate_design(np.arange(1.0, 7.0))
@@ -156,12 +178,29 @@ class TestSeparationDetection:
         y = (rng.random(n) < 0.3).astype(float)
         arms_matrix = rng.integers(0, k, size=(b, n))
         codes = separation_batch(arms_matrix, y, x, k)
-        names = {0: "none", 1: "quasicomplete", 2: "complete"}
         for row, code in zip(arms_matrix, codes):
-            if np.bincount(row, minlength=k).min() == 0:
-                continue  # empty arms are excluded, cross-check the rest
             design = design_from_assignments(row, k, x)
-            assert names[int(code)] == detect_separation(design, y, method="threshold")
+            assert glm.SEP_NAMES[int(code)] == detect_separation(design, y, method="lp")
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=separation_problems())
+    def test_batch_scan_matches_lp_row_by_row(self, problem):
+        arms, k, x, y = problem
+        codes = separation_batch(arms, y, x, k)
+        for row, code in zip(arms, codes):
+            if k == 1:
+                design = covariate_design(x, n=len(y))
+            else:
+                design = design_from_assignments(row, k, x)
+            lp = detect_separation(design, y, method="lp")
+            assert glm.SEP_NAMES[int(code)] == lp
+            assert detect_separation(design, y) == lp
+
+    def test_threshold_method_rejects_two_covariates(self):
+        rng = np.random.default_rng(29)
+        design = design_from_assignments(np.arange(12) % 3, 3, rng.normal(size=(12, 2)))
+        with pytest.raises(ValueError, match="at most one covariate"):
+            detect_separation(design, np.tile([0.0, 1.0], 6), method="threshold")
 
 
 class TestFirth:

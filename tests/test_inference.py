@@ -27,7 +27,13 @@ from randmcp.inference import (
     residual_statistics_batch,
     shape_matrix,
 )
-from randmcp.randomization import RandomizationSpec, enumerate_sequences, sample_sequence
+from randmcp.glm import design_from_assignments, detect_separation
+from randmcp.randomization import (
+    RandomizationSpec,
+    enumerate_sequences,
+    sample_sequence,
+    sample_sequences,
+)
 from randmcp.rng import substream
 
 GRID4 = DoseGrid(doses=(0.0, 10.0, 25.0, 100.0))
@@ -291,6 +297,24 @@ class TestRandomizationTest:
                                  default_candidate_set(), substream(8, 1))
         assert out.diagnostics["separated_refits"] > 0
         assert "observed_separation" in out.diagnostics
+
+    def test_two_covariate_separated_refits_match_lp_count(self):
+        spec = RandomizationSpec(procedure="pbd", grid=GRID4, n=28, block=(1, 2, 2, 2))
+        rng = substream(8, 2)
+        arms = sample_sequence(spec, rng)
+        z = np.round(rng.normal(size=(28, 2)), 1)
+        y = (rng.random(28) < 0.2).astype(float)
+        data = toy_dataset(arms, y, GRID4, covariates=z)
+        sequences = sample_sequences(spec, 60, substream(8, 3))
+        out = randomization_test(data, spec, TestMethod(id="glm_mle", n_rand=60),
+                                 default_candidate_set(), substream(8, 4), sequences=sequences)
+        lp = [detect_separation(design_from_assignments(row, 4, z), y, method="lp")
+              for row in sequences]
+        separated = sum(name != "none" for name in lp)
+        assert 0 < separated < len(sequences)
+        assert out.diagnostics["separated_refits"] == separated
+        assert out.diagnostics["observed_separation"] == detect_separation(
+            design_from_assignments(arms, 4, z), y, method="lp")
 
 
 class TestExactTest:

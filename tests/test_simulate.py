@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from randmcp.data import PotentialOutcomeTable
+from randmcp.data import PotentialOutcomeTable, TrialDataset
 from randmcp.dose_response import DoseGrid, default_candidate_set, wide_range_candidate_set
+from randmcp.glm import SEP_NAMES, design_from_assignments, detect_separation
 from randmcp.inference import TestMethod, default_methods
 from randmcp.presets import build_preset_dict, load_preset, preset_names
 from randmcp.randomization import RandomizationSpec
 from randmcp.rng import substream
 from randmcp.simulate import (
     ScenarioConfig,
+    _trial_diagnostics,
     generate_binary_trial,
     linear_time_trend,
     run_power_study,
@@ -88,6 +90,21 @@ class TestGeneration:
         assert np.array_equal(a.outcomes, b.outcomes)
         assert np.array_equal(a.arms, b.arms)
         assert not np.array_equal(a.outcomes, c.outcomes)
+
+
+class TestTrialDiagnostics:
+    @pytest.mark.parametrize("failing_arm, expected", [(None, "none"), (1, "quasicomplete")])
+    def test_empty_arm_without_covariate_matches_lp(self, failing_arm, expected):
+        # Complete randomization can leave an arm empty: here the top arm.
+        arms = np.repeat([0, 1, 2], 6)
+        y = np.tile([0.0, 1.0], 9)
+        if failing_arm is not None:
+            y[arms == failing_arm] = 0.0
+        x = substream(3, 0).normal(size=(18, 1))
+        data = TrialDataset(arms=arms, outcomes=y, covariates=x, grid=GRID4, endpoint="binary")
+        diag = _trial_diagnostics(data, False)
+        lp = detect_separation(design_from_assignments(arms, 4), y, method="lp")
+        assert SEP_NAMES[diag["separation_code"]] == lp == expected
 
 
 class TestPowerStudy:
