@@ -91,8 +91,8 @@ def _optimal_contrasts_batch(mu0s: np.ndarray, covs: np.ndarray) -> np.ndarray:
 
     Each row is ``S^-1 (mu0 - mu_bar 1)``, centred to sum to zero,
     scaled to unit norm and signed so ``c'mu0 >= 0``.  A singular slice
-    is solved with its pseudo-inverse; a row that collapses to zero stays
-    zero.
+    is solved with its pseudo-inverse; a row that collapses to zero, as
+    every row of an all-zero covariance does, stays exactly zero.
     """
     b, k, _ = covs.shape
     m = mu0s.shape[0]
@@ -100,7 +100,8 @@ def _optimal_contrasts_batch(mu0s: np.ndarray, covs: np.ndarray) -> np.ndarray:
     sol = batch_solve(covs, np.broadcast_to(rhs, (b, k, m + 1)))
     sinv_mu = sol[:, :, :m].transpose(0, 2, 1)  # (B, M, k)
     sinv_one = sol[:, :, m]  # (B, k)
-    shift = np.einsum("mk,bk->bm", mu0s, sinv_one) / sinv_one.sum(axis=1)[:, None]
+    total = sinv_one.sum(axis=1)[:, None]  # 1'S^-1 1, 0 only for an all-zero S^-1 1
+    shift = np.einsum("mk,bk->bm", mu0s, sinv_one) / np.where(total != 0, total, 1.0)
     c = sinv_mu - shift[:, :, None] * sinv_one[:, None, :]
     c = c - c.mean(axis=2, keepdims=True)
     norms = np.linalg.norm(c, axis=2, keepdims=True)

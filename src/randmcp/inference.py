@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import chi2, norm, qmc
+from scipy.special import chdtr, chdtrc, fdtr, fdtrc, ndtri
+from scipy.stats import norm, qmc
 from scipy.stats import t as student_t
 
 from . import glm
@@ -72,7 +73,7 @@ class TestMethod:
     n_rand: int = 1000
     pvalue_rule: str = "plain"  # "plain" | "add_one"
     freeze_contrasts: bool = False  # refit statistic: contrasts from design weights
-    qmc_points: int = 1 << 17  # population test integration budget
+    qmc_points: int = 1 << 14  # population reference: sampled directions
     qmc_reps: int = 8
     # Population-test reference: None uses correlated standard normals;
     # a finite value uses the multivariate t with that many degrees of
@@ -90,6 +91,8 @@ class TestMethod:
             raise ValueError("randomization methods need n_rand >= 1")
         if self.df is not None and self.df <= 0:
             raise ValueError("df must be positive when given")
+        if self.qmc_reps < 2 or self.qmc_points < 1:
+            raise ValueError("the population integral needs qmc_reps >= 2 and qmc_points >= 1")
 
     @property
     def number(self) -> int:
@@ -451,15 +454,12 @@ def exact_randomization_pvalue(
     mass_valid = 0.0
     mass_excluded = 0.0
     total = 0
-    buf: list[np.ndarray] = []
-    probs: list[float] = []
-
-    def flush():
-        nonlocal mass_geq, mass_valid, mass_excluded
-        if not buf:
-            return
-        arms_matrix = np.stack(buf, axis=0)
-        pvec = np.array(probs)
+    reference = enumerate_sequences(spec, cap=cap)
+    while chunk := list(islice(reference, EXACT_CHUNK)):
+        total += len(chunk)
+        arms_matrix = np.stack([seq for seq, _ in chunk], axis=0)
+        pvec = np.array([prob for _, prob in chunk])
+        chunk.clear()  # drop the per-sequence arrays before the next chunk is drawn
         ok = np.all(_arm_counts(arms_matrix, spec.k) >= min_arm, axis=1)
         mass_excluded += float(pvec[~ok].sum())
         if np.any(ok):
@@ -467,16 +467,6 @@ def exact_randomization_pvalue(
             pv = pvec[ok]
             mass_valid += float(pv.sum())
             mass_geq += float(pv[stats >= s_obs].sum())
-        buf.clear()
-        probs.clear()
-
-    for seq, prob in enumerate_sequences(spec, cap=cap):
-        buf.append(seq)
-        probs.append(prob)
-        total += 1
-        if len(buf) >= EXACT_CHUNK:
-            flush()
-    flush()
 
     if mass_valid <= 0:
         raise DegenerateVarianceError("every reference-set sequence was degenerate")
@@ -500,49 +490,58 @@ def exact_randomization_pvalue(
 # Population-based test
 # ---------------------------------------------------------------------------
 
+def _radial_tail(t: float, g: np.ndarray, r: int, df: float | None) -> np.ndarray:
+    """P(R g >= t) per direction value g; R is chi_r, or sqrt(r F(r, df)) under t(df)."""
+    side = g > 0 if t > 0 else g < 0
+    x = t * t / g[side] ** 2
+    if df is None:
+        prob = chdtrc(r, x) if t > 0 else chdtr(r, x)
+    else:
+        prob = fdtrc(r, df, x / r) if t > 0 else fdtr(r, df, x / r)
+    out = np.full(g.shape, float(t <= 0))
+    out[side] = prob
+    return out
+
+
 def max_tail_probability(
     threshold: float,
     corr: np.ndarray,
-    points: int = 1 << 17,
+    points: int = 1 << 14,
     reps: int = 8,
     rng: np.random.Generator | None = None,
     df: float | None = None,
 ):
-    """Upper tail of the maximum of correlated standard variates by QMC.
+    """Upper tail of the maximum of correlated standard variates.
 
-    With ``df=None`` the variates are standard normals; a finite ``df``
-    divides each draw by an independent chi scale, giving the
-    multivariate-t reference.  The budget is split into ``reps``
-    independently scrambled Sobol replicates; the spread across
-    replicates yields the reported integration error.  Eigenvalues of
-    ``corr`` below 1e-10 of the largest are set to exactly zero, so
-    rounding noise in a rank-deficient correlation (more contrasts than
-    arms minus one) adds no direction to the draws; a correlation with
-    an eigenvalue below -1e-10 is flagged as repaired.
+    Spherical-radial integration (Genz & Bretz 2009): ``corr`` of rank r
+    factors as L L', so the maximum is R max(L u) for a direction u on
+    the r-sphere and a chi_r radius R, whose tail has a closed form.
+    Only ``points`` directions are sampled, as antithetic pairs from
+    ``reps`` scrambled Sobol replicates; their spread is the reported
+    error.  A finite ``df`` gives the multivariate t.  ``corr`` is
+    rounded to 12 decimals and eigenvalues below 1e-10 of the largest
+    are dropped, so rounding noise in a rank-deficient correlation
+    leaves p unchanged; one below -1e-10 flags it as repaired.
     """
-    corr = np.atleast_2d(np.asarray(corr, dtype=float))
-    m = corr.shape[0]
-    if m == 1:
+    corr = np.round(np.atleast_2d(np.asarray(corr, dtype=float)), 12)
+    if corr.shape[0] == 1:
         tail = norm.sf(threshold) if df is None else student_t.sf(threshold, df)
         return float(tail), 0.0, False
     eigval, eigvec = np.linalg.eigh(corr)
     repaired = bool(eigval.min() < -1e-10)
-    eigval = np.where(eigval < 1e-10 * eigval.max(), 0.0, eigval)
-    transform = eigvec * np.sqrt(eigval)  # (m, m): x = z @ transform.T
+    kept = eigval >= 1e-10 * eigval.max()
+    loadings = eigvec[:, kept] * np.sqrt(eigval[kept])  # (m, r)
+    r = loadings.shape[1]
 
     rng = rng or np.random.default_rng()
-    per_rep = 1 << max(int(np.ceil(np.log2(max(points, reps) / reps))), 4)
-    dims = m + (0 if df is None else 1)
+    pairs = 1 << max(int(np.ceil(np.log2(max(points, 2 * reps) / (2 * reps)))), 3)
     estimates = np.empty(reps)
     for rep in range(reps):
-        engine = qmc.Sobol(d=dims, scramble=True, seed=int(rng.integers(2 ** 63)))
-        u = np.clip(engine.random(per_rep), 1e-15, 1 - 1e-15)
-        z = ndtri(u[:, :m])
-        draws = z @ transform.T
-        if df is not None:
-            scale = np.sqrt(chi2.ppf(u[:, m], df) / df)
-            draws = draws / scale[:, None]
-        estimates[rep] = np.mean(draws.max(axis=1) >= threshold)
+        engine = qmc.Sobol(d=r, scramble=True, seed=int(rng.integers(2 ** 63)))
+        z = ndtri(np.clip(engine.random(pairs), 1e-15, 1 - 1e-15))
+        proj = (z / np.linalg.norm(z, axis=1, keepdims=True)) @ loadings.T
+        g = np.concatenate([proj.max(axis=1), -proj.min(axis=1)])
+        estimates[rep] = np.mean(_radial_tail(threshold, g, r, df))
     p = float(np.clip(estimates.mean(), 0.0, 1.0))
     err = float(estimates.std(ddof=1) / np.sqrt(reps))
     return p, err, repaired
@@ -559,9 +558,9 @@ def population_test(
     Fits the dose-indicator GLM once, computes the per-contrast
     statistics against the fitted covariance of the population-average
     means, and reports the one-sided multiplicity-adjusted p-value
-    ``P(max of M correlated standard normals >= observed max)``.  A
-    finite ``method.df`` swaps the reference for the multivariate t
-    with those degrees of freedom.
+    ``P(max of M correlated standard normals >= observed max)`` (the
+    multivariate t for a finite ``method.df``) by ``max_tail_probability``
+    over ``method.qmc_points`` directions, with ``qmc_error`` its error.
     """
     method = method or TestMethod(id="population")
     if method.id != "population":

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from randmcp.contrasts import (
     DegenerateShapeError,
     NoContrastsError,
+    _optimal_contrasts_batch,
     contrast_matrix,
     optimal_contrast,
 )
@@ -127,6 +130,19 @@ class TestContrastMatrix:
         with pytest.raises(ValueError):
             contrast_matrix(default_candidate_set(), GRID,
                             arm_sizes=TRIAL_ARM_SIZES, covariance=np.eye(4))
+
+
+class TestBatchKernel:
+    def test_all_zero_covariance_gives_exact_zero_contrasts(self):
+        mu0s = np.vstack([standardized_shape(m, GRID) for m in default_candidate_set().non_flat()])
+        design = np.diag(1.0 / np.asarray(TRIAL_ARM_SIZES, dtype=float))
+        covs = np.stack([design, np.zeros((4, 4)), design])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = _optimal_contrasts_batch(mu0s, covs)
+        assert np.array_equal(c[1], np.zeros_like(c[1]))
+        alone = _optimal_contrasts_batch(mu0s, design[None])[0]
+        assert np.array_equal(c[0], alone) and np.array_equal(c[2], alone)
 
 
 class TestOptimalityFuzz:

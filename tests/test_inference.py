@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
+from scipy.stats import t as student_t
 
 from randmcp.contrasts import contrast_matrix
 from randmcp.data import TrialDataset
@@ -46,6 +49,16 @@ def toy_dataset(arms, outcomes, grid, covariates=None, endpoint="binary"):
     cov = np.empty((n, 0)) if covariates is None else np.asarray(covariates, dtype=float)
     return TrialDataset(arms=np.asarray(arms), outcomes=np.asarray(outcomes, dtype=float),
                         covariates=cov, grid=grid, endpoint=endpoint)
+
+
+def trial_corr():
+    """Correlation of the five default contrasts on the 7:14:14:14 design (rank 3)."""
+    contrasts = contrast_matrix(default_candidate_set(), GRID4, arm_sizes=(7, 14, 14, 14))
+    cross = contrasts.vectors @ np.diag(1.0 / np.array([7.0, 14, 14, 14])) @ contrasts.vectors.T
+    scale = np.sqrt(np.diag(cross))
+    corr = cross / np.outer(scale, scale)
+    np.fill_diagonal(corr, 1.0)
+    return corr
 
 
 class TestResidualStatistic:
@@ -205,6 +218,22 @@ class TestRefitStatistic:
                                                         estimator=estimator)
             assert alone[0] == stats[i]
             assert np.array_equal(t_alone[0], t_matrix[i])
+
+    def test_all_zero_refit_covariance_gives_zero_statistic_silently(self):
+        # A completely separated refit whose population-average covariance
+        # underflows to exactly zero: no contrast exists for it.
+        arms = np.array([3, 0, 2, 0, 2, 3, 1, 3, 1, 2, 3, 2])
+        y = np.array([0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1], dtype=float)
+        x = np.array([1.483, -1.83, -0.003, -0.892, 0.776, -2.118, -0.344, 0.21,
+                      -1.484, 0.985, 0.179, 1.007])[:, None]
+        data = toy_dataset(arms, y, GRID4, covariates=x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats, t_matrix, _, diag = glm_statistics_batch(
+                data, arms[None, :], default_candidate_set(), track_separation=True)
+        assert stats.tolist() == [0.0]
+        assert not np.any(t_matrix)
+        assert diag["separation_codes"].tolist() == [2]
 
 
 class TestRandomizationTest:
@@ -483,6 +512,69 @@ class TestMaxTailProbability:
             q, _, _ = max_tail_probability(t, bumped, rng=substream(2, 0))
             assert p == q
             assert not repaired
+
+    @pytest.mark.parametrize("t", [-0.5, 0.0])
+    def test_independent_pair_at_nonpositive_threshold(self, t):
+        p, err, _ = max_tail_probability(t, np.eye(2), points=1 << 16, rng=substream(1, 5))
+        assert p == pytest.approx(1 - norm.cdf(t) ** 2, abs=5e-4)
+        assert err < 2e-4
+
+    @pytest.mark.parametrize("df", [None, 44.0])
+    @pytest.mark.parametrize("t", [-0.7, 0.0, 1.5])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rank_one_pairs_match_closed_form(self, sign, t, df):
+        # Z2 = sign * Z1: the maximum is Z1 (correlated) or |Z1| (anti-correlated).
+        sf = norm.sf if df is None else (lambda x: student_t.sf(x, df))
+        want = sf(t) if sign > 0 else (2 * sf(t) if t > 0 else 1.0)
+        corr = np.array([[1.0, sign], [sign, 1.0]])
+        p, err, repaired = max_tail_probability(t, corr, points=1 << 10, rng=substream(1, 6), df=df)
+        assert p == pytest.approx(want, abs=1e-12)
+        assert err < 1e-12
+        assert not repaired
+
+    def test_five_contrast_t_reference_matches_mvt_sampling_oracle(self):
+        corr = trial_corr()
+        t, df = 1.8, 44.0
+        p, err, _ = max_tail_probability(t, corr, rng=substream(1, 7), df=df)
+
+        # Oracle: plain Monte Carlo over 4 * 10^6 multivariate t draws.
+        chol = np.linalg.cholesky(corr + 1e-12 * np.eye(5))
+        rng = substream(1, 8)
+        hits, draws_total = 0, 4_000_000
+        for _ in range(4):
+            z = rng.standard_normal((1_000_000, 5)) @ chol.T
+            z /= np.sqrt(rng.chisquare(df, size=1_000_000) / df)[:, None]
+            hits += int(np.sum(z.max(axis=1) >= t))
+        oracle = hits / draws_total
+        assert p == pytest.approx(oracle, abs=1.5e-3)
+        assert err < 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+           df=st.sampled_from([None, 44.0]), seed=st.integers(0, 2 ** 16))
+    def test_p_non_increasing_in_threshold(self, a, b, df, seed):
+        # The same rng gives the same directions, and each direction's
+        # radial tail is non-increasing in t on both sides of t = 0.
+        lo, hi = min(a, b), max(a, b)
+        corr = trial_corr()
+        p_lo, _, _ = max_tail_probability(lo, corr, points=1 << 10, rng=substream(3, seed), df=df)
+        p_hi, _, _ = max_tail_probability(hi, corr, points=1 << 10, rng=substream(3, seed), df=df)
+        assert p_lo >= p_hi
+
+
+class TestMethodValidation:
+    @pytest.mark.parametrize("budget", [{"qmc_reps": 1}, {"qmc_reps": 0}, {"qmc_points": 0}])
+    def test_integration_budget_rejected(self, budget):
+        with pytest.raises(ValueError, match="qmc_reps >= 2 and qmc_points >= 1"):
+            TestMethod(id="population", **budget)
+
+    def test_smallest_budget_reports_finite_error(self):
+        method = TestMethod(id="population", qmc_points=1, qmc_reps=2)
+        p, err, _ = max_tail_probability(1.0, trial_corr(), method.qmc_points, method.qmc_reps,
+                                         rng=substream(1, 9))
+        assert 0.0 <= p <= 1.0
+        assert np.isfinite(err)
+
 
 class TestPopulationTest:
     def _trial_data(self, seed=0, pk=0.8, n=49):

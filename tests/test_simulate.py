@@ -164,8 +164,25 @@ def replay_study(workers=1, **overrides):
     )
 
 
+# Population p-values recorded with the 2^17-point QMC reference that the
+# spherical-radial integral replaced; the pinned values must stay close.
+QMC_POPULATION = {
+    "null": [0.8043670654296875, 0.8362655639648438],
+    "alt": [0.0015106201171875, 0.08457183837890625],
+    "replay": [0.0004730224609375, 0.00011444091796875, 0.25434112548828125],
+}
+
+
+def assert_near_qmc_record(pinned, key):
+    assert np.abs(np.asarray(pinned) - QMC_POPULATION[key]).max() <= 2e-3
+
+
 class TestGoldenResults:
-    """p-values recorded before the power and replay loops were merged."""
+    """p-values recorded before the power and replay loops were merged.
+
+    The population entries were re-recorded for the spherical-radial
+    reference integral; every other method's values are the originals.
+    """
 
     def test_power_study(self):
         config = trial_config(pk=0.2, n_sim=2, n_rand=50, seed=17,
@@ -173,19 +190,21 @@ class TestGoldenResults:
         null = run_power_study(config)
         alt = run_power_study(replace(config, pk=0.8, covariate_in_analysis=False))
         assert {mid: p.tolist() for mid, p in null.p_values.items()} == {
-            "population": [0.8043670654296875, 0.8362655639648438],
+            "population": [0.8050110675647931, 0.8362497802678808],
             "glm_mle": [0.78, 0.78],
             "residual_mle": [0.8, 0.08],
             "glm_firth": [0.84, 0.38],
             "residual_firth": [0.8, 0.08],
         }
         assert {mid: p.tolist() for mid, p in alt.p_values.items()} == {
-            "population": [0.0015106201171875, 0.08457183837890625],
+            "population": [0.0015573930666954315, 0.0843630902484479],
             "glm_mle": [0.0, 0.08],
             "residual_mle": [0.0, 0.0],
             "glm_firth": [0.0, 0.0],
             "residual_firth": [0.0, 0.0],
         }
+        assert_near_qmc_record(null.p_values["population"], "null")
+        assert_near_qmc_record(alt.p_values["population"], "alt")
         assert null.separation == {
             "mle_nonexistent_rate": 0.5, "complete_rate": 0.0, "quasicomplete_rate": 0.5,
             "placebo_degenerate_rate": 0.5, "any_arm_degenerate_rate": 0.5,
@@ -198,10 +217,11 @@ class TestGoldenResults:
     def test_replay(self):
         res = replay_study()
         assert {mid: p.tolist() for mid, p in res.p_values.items()} == {
-            "population": [0.0004730224609375, 0.00011444091796875, 0.25434112548828125],
+            "population": [0.0004883164102616605, 0.00011895362397578116, 0.2543388144912676],
             "glm_mle": [0.0, 0.0, 0.22],
             "residual_mle": [0.0, 0.02, 0.18],
         }
+        assert_near_qmc_record(res.p_values["population"], "replay")
         assert res.separation == {}
 
 
