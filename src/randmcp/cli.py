@@ -121,13 +121,9 @@ def _cmd_simulate(args) -> int:
         if args.rand is not None:
             config = replace(config, n_rand=args.rand)
         if args.methods:
-            wanted = args.methods.split(",")
-            bad = [m for m in wanted if m not in METHOD_IDS]
-            if bad:
-                raise ValueError(f"unknown methods {bad}; choose from {METHOD_IDS}")
-            config = replace(
-                config, methods=tuple(TestMethod(id=m, n_rand=config.n_rand) for m in wanted)
-            )
+            config = replace(config, methods=tuple(
+                TestMethod(id=m, n_rand=config.n_rand) for m in args.methods.split(",")
+            ))
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"simulate: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -268,8 +264,6 @@ def _cmd_analyze(args) -> int:
         spec = spec_from_dict(cfg)
         candidates = _candidates_from_config(cfg)
         method_id = args.method or cfg.get("method", "residual_firth")
-        if method_id not in METHOD_IDS:
-            raise ValueError(f"unknown method {method_id!r}; choose from {METHOD_IDS}")
         n_rand = args.rand if args.rand is not None else int(cfg.get("n_rand", 1000))
         method = TestMethod(id=method_id, n_rand=n_rand,
                             pvalue_rule=cfg.get("pvalue_rule", "plain"))
@@ -405,15 +399,17 @@ def _cmd_enumerate(args) -> int:
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"enumerate: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    try:
+        sequences = enumerate_sequences(spec, cap=args.cap)
+    except EnumerationTooLargeError as exc:
+        print(f"enumerate: {exc}", file=sys.stderr)
+        return EXIT_CAP
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(sink)
         writer.writerow(["sequence_index", "probability", "assignments"])
-        for idx, (seq, prob) in enumerate(enumerate_sequences(spec, cap=args.cap)):
+        for idx, (seq, prob) in enumerate(sequences):
             writer.writerow([idx, repr(prob), " ".join(map(str, seq))])
-    except EnumerationTooLargeError as exc:
-        print(f"enumerate: {exc}", file=sys.stderr)
-        return EXIT_CAP
     finally:
         if args.out:
             sink.close()

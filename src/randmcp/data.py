@@ -150,27 +150,6 @@ class PotentialOutcomeTable:
         )
 
 
-def write_sequence_csv(path, arms) -> None:
-    """Export one treatment sequence (enrollment_index, arm)."""
-    arms = np.asarray(arms, dtype=int)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["enrollment_index", "arm"])
-        for i, arm in enumerate(arms):
-            writer.writerow([i, int(arm)])
-
-
-def read_sequence_csv(path) -> np.ndarray:
-    """Import a treatment sequence written by :func:`write_sequence_csv`."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                {"enrollment_index", "arm"} - set(reader.fieldnames):
-            raise ValueError(f"{path}: need enrollment_index and arm columns")
-        rows = sorted(reader, key=lambda r: int(r["enrollment_index"]))
-    return np.array([int(r["arm"]) for r in rows], dtype=int)
-
-
 def read_potential_outcomes_csv(path, endpoint: str = "continuous") -> PotentialOutcomeTable:
     """Load a potential-outcomes table: outcome_<dose> columns plus baseline."""
     with open(path, newline="") as fh:

@@ -23,8 +23,8 @@ FIRTH_MAX_ITER = 100
 FIRTH_MAX_STEP = 5.0
 FIRTH_MAX_HALVINGS = 30
 SEPARATION_TOL = 1e-9
-# |coefficient| beyond this on the logit scale is treated as a diverging
-# estimate when no exact separation check was requested.
+# |coefficient| beyond this on the logit scale flags a batched refit as a
+# diverging estimate; the batched fits run no separation check.
 DIVERGENCE_BOUND = 12.0
 
 SEP_NONE = "none"
@@ -69,10 +69,6 @@ class DesignMatrix:
     @property
     def n_columns(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def covariate_columns(self) -> int:
-        return self.n_columns - self.dose_columns
 
 
 def design_from_assignments(arms, k: int, covariates=None, labels=None) -> DesignMatrix:
@@ -208,15 +204,15 @@ def _batch_of_one(design: DesignMatrix):
     return arms[None], k, design.values[:, k:]
 
 
-def fit_mle(design: DesignMatrix, y, family: str = "binomial",
-            check_separation: bool = True) -> GlmFit:
+def fit_mle(design: DesignMatrix, y, family: str = "binomial") -> GlmFit:
     """Maximum likelihood fit: :func:`fit_mle_many` on a batch of one.
 
     Binary outcomes use IRLS, stopping when the score norm drops below
     1e-8 or after 25 iterations; a non-convergent fit returns the last
     iterate flagged ``converged=False`` (mirroring standard software,
-    which reports estimates whether or not the MLE exists).  Continuous
-    outcomes use least squares with the classical covariance.
+    which reports estimates whether or not the MLE exists), and so does
+    a fit whose data :func:`detect_separation` finds separated.
+    Continuous outcomes use least squares with the classical covariance.
     """
     y = _check_outcome(design, y, family)
     if family == "gaussian":
@@ -225,16 +221,10 @@ def fit_mle(design: DesignMatrix, y, family: str = "binomial",
     beta = fits.coefficients[0]
     converged = bool(fits.iterations[0] < MLE_MAX_ITER)
     notes = []
-    if check_separation:
-        separation = detect_separation(design, y)
-        if separation != SEP_NONE:
-            converged = False
-            notes.append(f"{separation} separation: MLE does not exist")
-    else:
-        separation = SEP_UNCHECKED
-        if np.max(np.abs(beta)) > DIVERGENCE_BOUND:
-            converged = False
-            notes.append("coefficients diverging; MLE likely nonexistent")
+    separation = detect_separation(design, y)
+    if separation != SEP_NONE:
+        converged = False
+        notes.append(f"{separation} separation: MLE does not exist")
     return GlmFit(
         coefficients=beta,
         covariance=fits.covariances[0],
@@ -250,7 +240,7 @@ def fit_mle(design: DesignMatrix, y, family: str = "binomial",
     )
 
 
-def _fit_gaussian(design: DesignMatrix, y: np.ndarray, notes: tuple[str, ...] = ()) -> GlmFit:
+def _fit_gaussian(design: DesignMatrix, y: np.ndarray) -> GlmFit:
     fits = fit_gaussian_many(*_batch_of_one(design), y)
     beta = fits.coefficients[0]
     n, p = design.values.shape
@@ -271,13 +261,11 @@ def _fit_gaussian(design: DesignMatrix, y: np.ndarray, notes: tuple[str, ...] = 
         loglik=loglik,
         dose_columns=design.dose_columns,
         labels=design.labels,
-        notes=notes,
     )
 
 
-def fit_firth(design: DesignMatrix, y, family: str = "binomial",
-              check_separation: bool = False) -> GlmFit:
-    """Firth-penalized logistic fit; finite even under separation.
+def fit_firth(design: DesignMatrix, y) -> GlmFit:
+    """Firth-penalized logistic fit of binary outcomes; finite even under separation.
 
     Newton steps follow the modified score
     ``U*_r = sum_i (y_i - pi_i + h_i (1/2 - pi_i)) x_ir`` with ``h_i``
@@ -287,17 +275,11 @@ def fit_firth(design: DesignMatrix, y, family: str = "binomial",
     zero start is polished with restarts along the converged direction
     and the best mode wins; the zero start runs the batched Newton loop
     of :func:`fit_firth_many` as a batch of one, the two restarts as one
-    batch of two.  The covariance is the
-    inverse penalized information at the optimum.  Continuous outcomes
-    fall back to least squares (the penalty has no effect there),
-    flagged in the fit notes.
+    batch of two.  The covariance is the inverse penalized information
+    at the optimum.  The fit runs no separation check, so its
+    ``separation`` reads ``unchecked``.
     """
-    y = _check_outcome(design, y, family)
-    if family == "gaussian":
-        return _fit_gaussian(
-            design, y,
-            notes=("firth penalty is a no-op for the gaussian family; used least squares",),
-        )
+    y = _check_outcome(design, y, "binomial")
     designs = _BlockDesigns(*_batch_of_one(design))
     start = np.zeros((1, design.n_columns))
     (beta,), (pen,), (converged,), (iterations,) = _firth_newton_many(designs, y, start)
@@ -310,14 +292,13 @@ def fit_firth(design: DesignMatrix, y, family: str = "binomial",
                 beta, pen = other, other_pen
                 notes.append("restart found a higher penalized-likelihood mode")
 
-    separation = detect_separation(design, y) if check_separation else SEP_UNCHECKED
     return GlmFit(
         coefficients=beta,
         covariance=_binomial_covariances(designs, beta[None])[0],
         estimator="firth",
         family="binomial",
         converged=bool(converged),
-        separation=separation,
+        separation=SEP_UNCHECKED,
         iterations=int(iterations),
         loglik=float(pen),
         dose_columns=design.dose_columns,
@@ -330,7 +311,7 @@ def fit_firth(design: DesignMatrix, y, family: str = "binomial",
 # Separation detection
 # ---------------------------------------------------------------------------
 
-def detect_separation(design: DesignMatrix, y, method: str = "auto") -> str:
+def detect_separation(design: DesignMatrix, y) -> str:
     """Classify a binary dataset as none/quasicomplete/complete separation.
 
     Complete separation means some coefficient vector ``b`` gives
@@ -342,16 +323,10 @@ def detect_separation(design: DesignMatrix, y, method: str = "auto") -> str:
     of one; every other design solves two small linear programs.
     """
     y = _validate_binary(np.asarray(y, dtype=float))
-    if method not in ("auto", "lp", "threshold"):
-        raise ValueError(f"unknown separation method {method!r}")
     arms, k, x = _batch_of_one(design)
     if not k and x.shape[1] and np.all(x[:, 0] == 1.0):
         k, x = 1, x[:, 1:]  # the intercept is the indicator of one arm
-    scannable = k >= 1 and x.shape[1] <= 1
-    if method == "threshold" and not scannable:
-        raise ValueError("threshold method needs dose indicators or an intercept "
-                         "plus at most one covariate")
-    if method == "lp" or not scannable:
+    if k < 1 or x.shape[1] > 1:
         return _separation_lp(design.values, y)
     return SEP_NAMES[int(separation_batch(arms, y, x, k)[0])]
 

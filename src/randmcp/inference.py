@@ -34,7 +34,6 @@ from .data import TrialDataset
 from .dose_response import CandidateSet
 from .randomization import (
     CR,
-    ENUMERATION_CAP,
     RandomizationSpec,
     enumerate_sequences,
     is_member,
@@ -72,7 +71,6 @@ class TestMethod:
     id: str
     n_rand: int = 1000
     pvalue_rule: str = "plain"  # "plain" | "add_one"
-    freeze_contrasts: bool = False  # refit statistic: contrasts from design weights
     qmc_points: int = 1 << 14  # population reference: sampled directions
     qmc_reps: int = 8
     # Population-test reference: None uses correlated standard normals;
@@ -153,7 +151,6 @@ def glm_statistics_batch(
     arms_matrix: np.ndarray,
     candidates: CandidateSet,
     estimator: str = "mle",
-    frozen_contrasts: ContrastMatrix | None = None,
     track_separation: bool = False,
 ):
     """Refit statistic for every row of ``arms_matrix``.
@@ -174,10 +171,7 @@ def glm_statistics_batch(
         fit_many = glm.fit_mle_many
     fits = fit_many(arms_matrix, k, data.covariates, data.outcomes)
     mu, cov = glm.population_average_batch(fits, k, data.covariates)
-    if frozen_contrasts is not None:
-        c = np.broadcast_to(frozen_contrasts.vectors, (arms_matrix.shape[0],) + frozen_contrasts.vectors.shape)
-    else:
-        c = _optimal_contrasts_batch(mu0s, cov)
+    c = _optimal_contrasts_batch(mu0s, cov)
     num = np.einsum("bmk,bk->bm", c, mu)
     den = np.einsum("bmk,bkl,bml->bm", c, cov, c)
     t_matrix = np.where(den > 0, num / np.sqrt(np.where(den > 0, den, 1.0)), 0.0)
@@ -256,9 +250,9 @@ def fit_residual_model(data: TrialDataset, estimator: str = "mle"):
     if family == "gaussian":
         fit = glm.fit_mle(design, data.outcomes, family="gaussian")
     elif estimator == "firth":
-        fit = glm.fit_firth(design, data.outcomes, check_separation=False)
+        fit = glm.fit_firth(design, data.outcomes)
     else:
-        fit = glm.fit_mle(design, data.outcomes, family="binomial", check_separation=True)
+        fit = glm.fit_mle(design, data.outcomes)
     if not fit.converged:
         raise ResidualModelError(
             f"covariate-only {estimator} model did not converge "
@@ -359,15 +353,12 @@ def _randomization_statistic(
             )
         return evaluate, labels, 2, fit, diagnostics
 
-    frozen = None
-    if method.freeze_contrasts:
-        frozen = contrast_matrix(candidates, data.grid, arm_sizes=spec.expected_arm_sizes())
     _, labels = shape_matrix(candidates, data.grid)
 
     def evaluate(arms_matrix):
         return glm_statistics_batch(
             data, arms_matrix, candidates, estimator=method.estimator,
-            frozen_contrasts=frozen, track_separation=track_separation,
+            track_separation=track_separation,
         )
     return evaluate, labels, 1, None, diagnostics
 
@@ -435,14 +426,15 @@ def exact_randomization_pvalue(
     spec: RandomizationSpec,
     method: TestMethod,
     candidates: CandidateSet,
-    cap: int = ENUMERATION_CAP,
 ) -> TestOutcome:
     """Exact p-value by weighted enumeration of the whole reference set.
 
     Sequences whose statistic is undefined (an arm below the method's
     minimum occupancy, possible only under complete randomization) are
     excluded and the remaining probabilities renormalized; the excluded
-    mass is reported in the diagnostics.
+    mass is reported in the diagnostics.  A reference set above
+    ``randomization.ENUMERATION_CAP`` sequences raises
+    :class:`~randmcp.randomization.EnumerationTooLargeError`.
     """
     evaluate, labels, min_arm, _, diagnostics = _randomization_statistic(
         data, spec, method, candidates,
@@ -454,7 +446,7 @@ def exact_randomization_pvalue(
     mass_valid = 0.0
     mass_excluded = 0.0
     total = 0
-    reference = enumerate_sequences(spec, cap=cap)
+    reference = enumerate_sequences(spec)
     while chunk := list(islice(reference, EXACT_CHUNK)):
         total += len(chunk)
         arms_matrix = np.stack([seq for seq, _ in chunk], axis=0)
@@ -612,7 +604,6 @@ def analyze(
     spec: RandomizationSpec | None = None,
     rng: np.random.Generator | None = None,
     exact: bool = False,
-    cap: int = ENUMERATION_CAP,
 ) -> TestOutcome:
     """Run one method on one dataset, dispatching on its kind."""
     if method.id == "population":
@@ -620,7 +611,7 @@ def analyze(
     if spec is None:
         raise ValueError("randomization methods need the trial's randomization procedure")
     if exact:
-        return exact_randomization_pvalue(data, spec, method, candidates, cap=cap)
+        return exact_randomization_pvalue(data, spec, method, candidates)
     if rng is None:
         raise ValueError("Monte Carlo randomization tests need an rng")
     return randomization_test(data, spec, method, candidates, rng)

@@ -1,16 +1,14 @@
 """Built-in scenario presets: the 14 data-generating scenarios.
 
-Each preset is a JSON config file named ``n<size>_<procedure>_<trend>``
-covering sample sizes 49/98/490 under random allocation and permuted
-blocks (plus complete randomization at 490), with and without the
-enrollment-time trend.  Top-dose response rates are 0.8, 0.61 and
-0.364 respectively so the scenarios target comparable planned power;
-the placebo rate is 0.2 throughout.
+Each preset is a scenario config named ``n<size>_<procedure>_<trend>``,
+built by :func:`build_preset_dict`, covering sample sizes 49/98/490
+under random allocation and permuted blocks (plus complete
+randomization at 490), with and without the enrollment-time trend.
+Top-dose response rates are 0.8, 0.61 and 0.364 respectively so the
+scenarios target comparable planned power; the placebo rate is 0.2
+throughout.
 """
 from __future__ import annotations
-
-import json
-from importlib import resources
 
 from ..simulate import ScenarioConfig, scenario_from_dict
 
@@ -30,7 +28,7 @@ def preset_names() -> list[str]:
 
 
 def build_preset_dict(name: str) -> dict:
-    """Construct a preset config by name (also used to generate the files)."""
+    """Construct a preset config by name."""
     parts = name.split("_")
     if len(parts) != 3 or not parts[0].startswith("n"):
         raise KeyError(f"unknown preset {name!r}")
@@ -74,9 +72,5 @@ def build_preset_dict(name: str) -> dict:
 
 
 def load_preset(name: str) -> ScenarioConfig:
-    """Load a named preset, preferring the shipped JSON file."""
-    try:
-        text = resources.files(__name__).joinpath(f"{name}.json").read_text()
-        return scenario_from_dict(json.loads(text))
-    except FileNotFoundError:
-        return scenario_from_dict(build_preset_dict(name))
+    """The named preset as a scenario; an unknown name raises ``KeyError``."""
+    return scenario_from_dict(build_preset_dict(name))

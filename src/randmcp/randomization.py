@@ -199,25 +199,27 @@ def is_member(spec: RandomizationSpec, seq) -> bool:
 def enumerate_sequences(
     spec: RandomizationSpec, cap: int = ENUMERATION_CAP
 ) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield every reference-set sequence exactly once with its probability.
+    """Iterate over every reference-set sequence exactly once with its probability.
 
-    Raises :class:`EnumerationTooLargeError` when the exact count
-    exceeds ``cap``.  Under weighted complete randomization the yielded
-    items are the distinct arm sequences (with their probabilities),
-    not the individually counted die outcomes.
+    Raises :class:`EnumerationTooLargeError` at the call, before any
+    sequence is produced, when the exact count exceeds ``cap``.  Under
+    weighted complete randomization the items are the distinct arm
+    sequences (with their probabilities), not the individually counted
+    die outcomes.
     """
+    count = spec.k ** spec.n if spec.procedure == CR else count_sequences(spec)[0]
+    if count > cap:
+        raise EnumerationTooLargeError(count, cap)
+    return _reference_set(spec, count)
+
+
+def _reference_set(spec: RandomizationSpec, count: int) -> Iterator[tuple[np.ndarray, float]]:
     if spec.procedure == CR:
-        distinct = spec.k ** spec.n
-        if distinct > cap:
-            raise EnumerationTooLargeError(distinct, cap)
         probs = np.asarray(spec.probs)
         for tup in product(range(spec.k), repeat=spec.n):
             seq = np.array(tup, dtype=int)
             yield seq, float(np.prod(probs[seq]))
         return
-    count, _ = count_sequences(spec)
-    if count > cap:
-        raise EnumerationTooLargeError(count, cap)
     p = 1.0 / count
     if spec.procedure == RA:
         for tup in _multiset_permutations(list(spec.targets)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -86,10 +86,6 @@ class ScenarioConfig:
     @property
     def grid(self) -> DoseGrid:
         return self.spec.grid
-
-    @property
-    def is_null(self) -> bool:
-        return self.pk == self.p0
 
     def truth_model(self) -> CandidateModel:
         theta0, theta1 = calibrate_emax(
@@ -520,8 +516,6 @@ def _method_dict(method: TestMethod):
         extras["df"] = method.df
     if method.pvalue_rule != "plain":
         extras["pvalue_rule"] = method.pvalue_rule
-    if method.freeze_contrasts:
-        extras["freeze_contrasts"] = True
     if not extras:
         return method.id
     return {"id": method.id, **extras}
@@ -531,6 +525,7 @@ def _method_from_entry(entry, n_rand: int) -> TestMethod:
     if isinstance(entry, str):
         return TestMethod(id=entry, n_rand=n_rand)
     entry = dict(entry)
+    _reject_unknown(entry, {f.name for f in fields(TestMethod)}, "method entry")
     return TestMethod(id=entry.pop("id"), n_rand=int(entry.pop("n_rand", n_rand)), **entry)
 
 
@@ -565,7 +560,15 @@ def spec_from_dict(d: dict) -> RandomizationSpec:
     )
 
 
+def _reject_unknown(d: dict, known: set[str], what: str) -> None:
+    unknown = set(d) - known
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
 def scenario_from_dict(d: dict) -> ScenarioConfig:
+    _reject_unknown(d, {f.name for f in fields(ScenarioConfig)} - {"spec"} | set(_SPEC_KEYS),
+                    "scenario config")
     spec = spec_from_dict(d)
     d = {key: val for key, val in d.items() if key not in _SPEC_KEYS}
     n_rand = int(d.pop("n_rand", 1000))

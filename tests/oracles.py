@@ -46,6 +46,17 @@ def grid_maximize_penalized(x, y, span=24.0, coarse=41, refinements=16):
     return best
 
 
+def separation_lp(design, y):
+    """Separation class of a design by the two linear programs alone.
+
+    ``glm.detect_separation`` runs them only for designs its threshold
+    scan does not cover, so this is the independent reference for the scan.
+    """
+    from randmcp.glm import _separation_lp
+
+    return _separation_lp(design.values, np.asarray(y, dtype=float))
+
+
 def standardized_gain(c, mu0, S):
     return c @ mu0 / np.sqrt(c @ S @ c)
 

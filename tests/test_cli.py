@@ -162,6 +162,19 @@ class TestSimulateCommand:
                                    "n": 4}))
         assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("change, field", [
+        ({"typo_field": 3}, "typo_field"),
+        ({"methods": [{"id": "glm_mle", "bogus": 1}]}, "bogus"),
+    ])
+    def test_unknown_config_field_exits_2(self, tiny_scenario, tmp_path, capsys, change, field):
+        config = json.loads(tiny_scenario.read_text())
+        config.update(change)
+        tiny_scenario.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", str(tiny_scenario),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_preset_and_config_mutually_exclusive(self, tiny_scenario, tmp_path):
         assert run_cli("simulate", "--preset", "n49_pbd_notrend",
                        "--config", str(tiny_scenario), "--out", str(tmp_path / "o")) == 2
@@ -291,5 +304,9 @@ class TestEnumerateCommand:
             "doses": [0.0, 10.0, 25.0, 100.0], "procedure": "pbd", "n": 49,
             "block": [1, 2, 2, 2],
         }))
-        assert run_cli("enumerate", "--config", str(cfg),
-                       "--out", str(tmp_path / "seqs.csv"), "--cap", "1000") == 3
+        out = tmp_path / "seqs.csv"
+        assert run_cli("enumerate", "--config", str(cfg), "--out", str(out), "--cap", "1000") == 3
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert run_cli("enumerate", "--config", str(cfg), "--out", str(out), "--cap", "1000") == 3
+        assert out.read_text() == "kept\n"

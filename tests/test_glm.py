@@ -24,7 +24,7 @@ from randmcp.glm import (
 )
 
 
-from oracles import DenseDesigns, grid_maximize_penalized
+from oracles import DenseDesigns, grid_maximize_penalized, separation_lp
 
 
 class TestMleBinary:
@@ -95,16 +95,12 @@ class TestGaussian:
         np.testing.assert_allclose(xv @ fit.coefficients, xv @ beta, rtol=1e-8)
         assert np.max(np.abs(fit.covariance - cov)) <= 1e-8 * np.max(np.abs(cov))
 
-    def test_firth_falls_back_to_least_squares(self):
+    def test_firth_rejects_continuous_outcomes(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(15, 1))
         y = 2.0 + x[:, 0] + rng.normal(size=15)
-        design = covariate_design(x)
-        firth = fit_firth(design, y, family="gaussian")
-        ls = fit_mle(design, y, family="gaussian")
-        assert firth.estimator == "gaussian_ls"
-        assert any("no-op" in note for note in firth.notes)
-        assert np.allclose(firth.coefficients, ls.coefficients)
+        with pytest.raises(ValueError, match="outcomes in"):
+            fit_firth(covariate_design(x), y)
 
 
 @st.composite
@@ -133,18 +129,18 @@ class TestSeparationDetection:
     def test_threshold_separated_is_complete(self):
         design = covariate_design(np.arange(1.0, 7.0))
         y = np.array([0.0, 0, 0, 1, 1, 1])
-        assert detect_separation(design, y, method="lp") == "complete"
+        assert separation_lp(design, y) == "complete"
 
     def test_overlapping_is_none(self):
         design = covariate_design(np.array([1.0, 1.0, 2.0, 2.0]))
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        assert detect_separation(design, y, method="lp") == "none"
+        assert separation_lp(design, y) == "none"
 
     def test_tied_boundary_is_quasicomplete(self):
         # One failure sits exactly on the separating threshold.
         design = covariate_design(np.array([1.0, 2.0, 3.0, 3.0, 4.0, 5.0]))
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        assert detect_separation(design, y, method="lp") == "quasicomplete"
+        assert separation_lp(design, y) == "quasicomplete"
 
     def test_degenerate_arm_is_quasicomplete(self):
         arms = np.repeat([0, 1, 2], 6)
@@ -154,7 +150,7 @@ class TestSeparationDetection:
         y[arms == 1] = 0.0  # one arm all failures
         design = design_from_assignments(arms, 3, x)
         assert detect_separation(design, y) == "quasicomplete"
-        assert detect_separation(design, y, method="lp") == "quasicomplete"
+        assert separation_lp(design, y) == "quasicomplete"
 
     def test_threshold_scan_matches_lp_on_fuzzed_designs(self):
         rng = np.random.default_rng(17)
@@ -167,8 +163,8 @@ class TestSeparationDetection:
             x = np.round(rng.normal(size=n), 2)  # rounding provokes ties
             y = (rng.random(n) < 0.4).astype(float)
             design = design_from_assignments(arms, k, x)
-            fast = detect_separation(design, y, method="threshold")
-            lp = detect_separation(design, y, method="lp")
+            fast = detect_separation(design, y)
+            lp = separation_lp(design, y)
             assert fast == lp, (arms.tolist(), x.tolist(), y.tolist(), fast, lp)
 
     def test_batch_scan_matches_scalar(self):
@@ -180,7 +176,7 @@ class TestSeparationDetection:
         codes = separation_batch(arms_matrix, y, x, k)
         for row, code in zip(arms_matrix, codes):
             design = design_from_assignments(row, k, x)
-            assert glm.SEP_NAMES[int(code)] == detect_separation(design, y, method="lp")
+            assert glm.SEP_NAMES[int(code)] == separation_lp(design, y)
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(problem=separation_problems())
@@ -192,15 +188,9 @@ class TestSeparationDetection:
                 design = covariate_design(x, n=len(y))
             else:
                 design = design_from_assignments(row, k, x)
-            lp = detect_separation(design, y, method="lp")
+            lp = separation_lp(design, y)
             assert glm.SEP_NAMES[int(code)] == lp
             assert detect_separation(design, y) == lp
-
-    def test_threshold_method_rejects_two_covariates(self):
-        rng = np.random.default_rng(29)
-        design = design_from_assignments(np.arange(12) % 3, 3, rng.normal(size=(12, 2)))
-        with pytest.raises(ValueError, match="at most one covariate"):
-            detect_separation(design, np.tile([0.0, 1.0], 6), method="threshold")
 
 
 class TestFirth:
@@ -418,7 +408,7 @@ class TestBatchedFits:
         batch = fit_mle_many(arms_matrix, k, x, y)
         for i in range(b):
             design = design_from_assignments(arms_matrix[i], k, x)
-            single = fit_mle(design, y, check_separation=False)
+            single = fit_mle(design, y)
             assert np.array_equal(batch.coefficients[i], single.coefficients)
             assert np.array_equal(batch.covariances[i], single.covariance)
             assert batch.converged[i] == single.converged

@@ -30,7 +30,7 @@ from randmcp.inference import (
     residual_statistics_batch,
     shape_matrix,
 )
-from randmcp.glm import design_from_assignments, detect_separation
+from randmcp.glm import design_from_assignments
 from randmcp.randomization import (
     RandomizationSpec,
     enumerate_sequences,
@@ -38,6 +38,8 @@ from randmcp.randomization import (
     sample_sequences,
 )
 from randmcp.rng import substream
+
+from oracles import separation_lp
 
 GRID4 = DoseGrid(doses=(0.0, 10.0, 25.0, 100.0))
 GRID2 = DoseGrid(doses=(0.0, 100.0))
@@ -337,13 +339,13 @@ class TestRandomizationTest:
         sequences = sample_sequences(spec, 60, substream(8, 3))
         out = randomization_test(data, spec, TestMethod(id="glm_mle", n_rand=60),
                                  default_candidate_set(), substream(8, 4), sequences=sequences)
-        lp = [detect_separation(design_from_assignments(row, 4, z), y, method="lp")
+        lp = [separation_lp(design_from_assignments(row, 4, z), y)
               for row in sequences]
         separated = sum(name != "none" for name in lp)
         assert 0 < separated < len(sequences)
         assert out.diagnostics["separated_refits"] == separated
-        assert out.diagnostics["observed_separation"] == detect_separation(
-            design_from_assignments(arms, 4, z), y, method="lp")
+        assert out.diagnostics["observed_separation"] == separation_lp(
+            design_from_assignments(arms, 4, z), y)
 
 
 class TestExactTest:

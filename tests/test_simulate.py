@@ -1,3 +1,5 @@
+import hashlib
+import json
 import logging
 
 import numpy as np
@@ -6,7 +8,7 @@ from dataclasses import replace
 
 from randmcp.data import PotentialOutcomeTable, TrialDataset
 from randmcp.dose_response import DoseGrid, default_candidate_set, wide_range_candidate_set
-from randmcp.glm import SEP_NAMES, design_from_assignments, detect_separation
+from randmcp.glm import SEP_NAMES, design_from_assignments
 from randmcp.inference import TestMethod, default_methods
 from randmcp.presets import build_preset_dict, load_preset, preset_names
 from randmcp.randomization import RandomizationSpec
@@ -24,8 +26,27 @@ from randmcp.simulate import (
     synthetic_potential_table,
 )
 
+from oracles import separation_lp
+
 GRID4 = DoseGrid(doses=(0.0, 10.0, 25.0, 100.0))
 GRID5 = DoseGrid(doses=(0.0, 100.0, 200.0, 400.0, 1000.0))
+# sha256 of each preset's canonical JSON (sorted keys, no whitespace).
+PRESET_SHA256 = {
+    "n49_ra_notrend": "f0ed73188546494b73c8b11d377992e9116e98c04b10b3f296f84e03b8c6b80b",
+    "n49_ra_trend": "d4a2dda7e4d622a9b95bf2c31084b64f28424f6ebb2fc940da557df2da000fc2",
+    "n49_pbd_notrend": "cf4e29ad79cab4376d597ae230c685667297d13bbdbbcbad36b3657a7977e048",
+    "n49_pbd_trend": "e734cd89bc550ecc5072bf0315d1ec34580d2193ea49126c0d1daa2ade2191c0",
+    "n98_ra_notrend": "a76f882097dd9d762aae124fcda0f5d8dc474ca771a72ea4608e031024f8e620",
+    "n98_ra_trend": "d0eb53c349f64280078b7b9f4caad3428461013b54e922e01af93893d9d178b1",
+    "n98_pbd_notrend": "ed990113ff1be95d2dc902e453ade2047cb7d72e262a5192e1f2bd8a73447fbf",
+    "n98_pbd_trend": "f44689b931ad49b1fd92e22676902a3c2fa25e3e129f4d707b3dd64c95a9e70a",
+    "n490_ra_notrend": "b5e66021b14a9fb1978fd13da91809d01961bcf62750087eed8be1b00a604207",
+    "n490_ra_trend": "a31da04f4019bf902c09a6bf8d85fc83dc61e5da0d03375956e06ddd9e81faf9",
+    "n490_pbd_notrend": "afc424ebd1488e614ce83455a0e36ffd40401e7aeb0a832e2f2b713ab056b64e",
+    "n490_pbd_trend": "a33a6b638323f038a404545b7b4f18a153b0097ae3c066edcbb6f2e7593809c9",
+    "n490_cr_notrend": "a5ee3eab4047e4c13df65aafc90bb7a55f49d03dca1ed9987ab7720b56902c63",
+    "n490_cr_trend": "d722dea09cd7f96202c2fdd8e4055eac1b00392bafad359b7cc4acfb8c4a544c",
+}
 
 
 def trial_config(**overrides):
@@ -103,7 +124,7 @@ class TestTrialDiagnostics:
         x = substream(3, 0).normal(size=(18, 1))
         data = TrialDataset(arms=arms, outcomes=y, covariates=x, grid=GRID4, endpoint="binary")
         diag = _trial_diagnostics(data, False)
-        lp = detect_separation(design_from_assignments(arms, 4), y, method="lp")
+        lp = separation_lp(design_from_assignments(arms, 4), y)
         assert SEP_NAMES[diag["separation_code"]] == lp == expected
 
 
@@ -328,6 +349,36 @@ class TestPresetsAndSerialization:
             assert config.n_rand == 1_000
             assert config.alpha == 0.10
             assert len(config.methods) == 5
+
+    def test_preset_dicts_are_pinned(self):
+        assert sorted(preset_names()) == sorted(PRESET_SHA256)
+        for name in preset_names():
+            text = json.dumps(build_preset_dict(name), sort_keys=True, separators=(",", ":"))
+            assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[name], name
+
+    def test_n49_pbd_notrend_in_full(self):
+        assert build_preset_dict("n49_pbd_notrend") == {
+            "name": "n49_pbd_notrend",
+            "doses": [0.0, 10.0, 25.0, 100.0],
+            "procedure": "pbd",
+            "n": 49,
+            "block": [1, 2, 2, 2],
+            "p0": 0.2,
+            "pk": 0.8,
+            "emax_ed50": 10.0,
+            "covariate_coef": 0.6,
+            "covariate_in_analysis": True,
+            "time_trend": "none",
+            "alpha": 0.1,
+            "n_sim": 10000,
+            "n_rand": 1000,
+            "seed": 1,
+            "methods": [{"id": "population", "df": 44},
+                        "glm_mle", "residual_mle", "glm_firth", "residual_firth"],
+        }
+        config = load_preset("n49_pbd_notrend")
+        assert config.methods[0] == TestMethod(id="population", df=44)
+        assert config.spec.block == (1, 2, 2, 2)
 
     def test_preset_rates_follow_sample_size(self):
         assert load_preset("n49_pbd_notrend").pk == 0.8
