@@ -38,7 +38,9 @@ from .randomization import (
 )
 from .rng import substream
 from .simulate import (
+    _SPEC_KEYS,
     _method_from_entry,
+    _reject_unknown,
     run_table_block,
     scenario_from_dict,
     scenario_to_dict,
@@ -157,6 +159,12 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+_REPLAY_KEYS = {
+    "name", "potential_outcomes", "endpoint", "candidates", "seed", "n_sim", "n_rand",
+    "methods", "alpha", "include_baseline_covariate", "sort_by_baseline", *_SPEC_KEYS,
+}
+
+
 def _simulate_potential_outcomes(cfg: dict, args) -> int:
     """Replay-mode study: a fixed potential-outcomes table, many sequences."""
     from .data import read_potential_outcomes_csv
@@ -164,6 +172,7 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
     from .simulate import simulate_from_potential_outcomes
 
     try:
+        _reject_unknown(cfg, _REPLAY_KEYS, "potential-outcomes config")
         spec = spec_from_dict(cfg)
         table_path = Path(cfg["potential_outcomes"])
         if not table_path.is_absolute():

@@ -282,19 +282,19 @@ def fit_firth(design: DesignMatrix, y) -> GlmFit:
     y = _check_outcome(design, y, "binomial")
     designs = _BlockDesigns(*_batch_of_one(design))
     start = np.zeros((1, design.n_columns))
-    (beta,), (pen,), (converged,), (iterations,) = _firth_newton_many(designs, y, start)
+    (beta,), (pen,), (converged,), (iterations,), (cov,) = _firth_newton_many(designs, y, start)
     notes: list[str] = []
     if converged and np.linalg.norm(beta) > 1e-8:
         restarts = _firth_newton_many(designs.take([0, 0]), y, np.stack([2.0 * beta, 4.0 * beta]))
-        for other, other_pen, other_ok, other_iter in zip(*restarts):
+        for other, other_pen, other_ok, other_iter, other_cov in zip(*restarts):
             iterations += other_iter
             if other_ok and other_pen > pen + 1e-9 * (1.0 + abs(pen)):
-                beta, pen = other, other_pen
+                beta, pen, cov = other, other_pen, other_cov
                 notes.append("restart found a higher penalized-likelihood mode")
 
     return GlmFit(
         coefficients=beta,
-        covariance=_binomial_covariances(designs, beta[None])[0],
+        covariance=cov,
         estimator="firth",
         family="binomial",
         converged=bool(converged),
@@ -376,7 +376,9 @@ def separation_batch(arms_matrix: np.ndarray, y: np.ndarray, x, k: int) -> np.nd
     failures on the other.  Scanning both signs plus the
     degenerate-arm certificate (an arm with a single outcome level
     diverges on its own indicator) is exact; no covariate is the scan
-    of ``x = 0``.  Wider designs solve the linear programs row by row.
+    of ``x = 0``.  One scatter pass gives every (row, arm)'s outcome
+    counts and covariate extremes; the sign -1 scan reads them negated
+    and swapped.  Wider designs solve the linear programs row by row.
     """
     b, n = arms_matrix.shape
     y = np.asarray(y, dtype=float)
@@ -387,41 +389,32 @@ def separation_batch(arms_matrix: np.ndarray, y: np.ndarray, x, k: int) -> np.nd
             for arms in arms_matrix
         ], dtype=int)
     x = z[:, 0] if z.shape[1] else np.zeros(n)
+    # Bins arm + k * row hold the successes, the same bins shifted by
+    # b * k the failures.
+    bins = arm_offsets(arms_matrix, k)
+    bins += b * k * (y == 0.0)
+    bins = bins.ravel()
+    vals = np.tile(x, b)
+    low, high = np.full(2 * b * k, np.inf), np.full(2 * b * k, -np.inf)
+    np.minimum.at(low, bins, vals)
+    np.maximum.at(high, bins, vals)
+    n_succ, n_fail = np.bincount(bins, minlength=2 * b * k).reshape(2, b, k)
+    (s_min, f_min), (s_max, f_max) = low.reshape(2, b, k), high.reshape(2, b, k)
+    hom = (n_succ + n_fail > 0) & ((n_succ == 0) | (n_fail == 0))
+    mixed = (n_succ > 0) & (n_fail > 0)
     complete = np.zeros(b, dtype=bool)
     quasi = np.zeros(b, dtype=bool)
-    degenerate = np.zeros(b, dtype=bool)
-    for sign in (1.0, -1.0):
-        u = sign * x
-        weak_all = np.ones(b, dtype=bool)
-        strict_all = np.ones(b, dtype=bool)
-        any_slack = np.zeros(b, dtype=bool)
-        for j in range(k):
-            mask = arms_matrix == j
-            succ = mask & (y == 1.0)
-            fail = mask & (y == 0.0)
-            n_succ = succ.sum(axis=1)
-            n_fail = fail.sum(axis=1)
-            present = (n_succ + n_fail) > 0
-            hom = present & ((n_succ == 0) | (n_fail == 0))
-            if sign > 0:
-                degenerate |= hom
-            any_slack |= hom
-            mixed = present & ~hom
-            lo = np.where(fail, u[None, :], -np.inf).max(axis=1)
-            hi = np.where(succ, u[None, :], np.inf).min(axis=1)
-            hi_max = np.where(succ, u[None, :], -np.inf).max(axis=1)
-            lo_min = np.where(fail, u[None, :], np.inf).min(axis=1)
-            gap = mixed & (hi > lo)
-            tie = mixed & (hi == lo)
-            bad = mixed & (hi < lo)
-            any_slack |= gap
-            any_slack |= tie & ((hi_max > hi) | (lo_min < lo))
-            strict_all &= ~(tie | bad)
-            weak_all &= ~bad
-        complete |= weak_all & strict_all & any_slack
+    # (max failure, min success, max success, min failure) of sign * x.
+    for lo, hi, hi_max, lo_min in ((f_max, s_min, s_max, f_min),
+                                   (-f_min, -s_max, -s_min, -f_max)):
+        tie = mixed & (hi == lo)
+        bad = mixed & (hi < lo)
+        slack = hom | (mixed & (hi > lo)) | (tie & ((hi_max > hi) | (lo_min < lo)))
+        weak_all, any_slack = ~bad.any(axis=1), slack.any(axis=1)
+        complete |= weak_all & ~tie.any(axis=1) & any_slack
         quasi |= weak_all & any_slack
     out = np.zeros(b, dtype=int)
-    out[quasi | degenerate] = 1
+    out[quasi | hom.any(axis=1)] = 1
     out[complete] = 2
     return out
 
@@ -603,11 +596,13 @@ def fit_mle_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> 
     passes the tolerance, so a slice converged exactly when its
     iteration count is below 25.  ``converged`` here combines that raw
     IRLS criterion with the divergence bound; no separation check is
-    performed.
+    performed.  A converged slice's covariance inverts the information
+    of its last score test.
     """
     designs = _BlockDesigns(arms_matrix, k, covariates)
     y = np.asarray(y, dtype=float)
     beta = np.zeros((designs.b, designs.p))
+    covariances = np.empty((designs.b, designs.p, designs.p))
     active = np.arange(designs.b)
     iterations = np.zeros(designs.b, dtype=int)
     converged = np.zeros(designs.b, dtype=bool)
@@ -616,19 +611,20 @@ def fit_mle_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> 
         ba = beta[active]
         pi = expit(xa.eta(ba))
         score = xa.xt(y - pi)
+        info = xa.xtwx(pi * (1.0 - pi))
         done = np.linalg.norm(score, axis=1) < SCORE_TOL
         if np.any(done):
             converged[active[done]] = True
+            covariances[active[done]] = _batch_inv(info[done])
             keep = ~done
             active = active[keep]
             if not active.size:
                 break
-            xa, ba, pi, score = xa.take(keep), ba[keep], pi[keep], score[keep]
-        step = batch_solve(xa.xtwx(pi * (1.0 - pi)), score)
-        beta[active] = ba + step
+            xa, ba, score, info = xa.take(keep), ba[keep], score[keep], info[keep]
+        beta[active] = ba + batch_solve(info, score)
         iterations[active] += 1
-
-    covariances = _binomial_covariances(designs, beta)
+    else:
+        covariances[active] = _binomial_covariances(xa, beta[active])
     converged &= np.max(np.abs(beta), axis=1) <= DIVERGENCE_BOUND
     return BatchFits(beta, covariances, converged, iterations)
 
@@ -642,33 +638,36 @@ def fit_firth_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -
     indicators where the penalized surface is benign.
     """
     designs = _BlockDesigns(arms_matrix, k, covariates)
-    beta, _, converged, iterations = _firth_newton_many(
+    beta, _, converged, iterations, covariances = _firth_newton_many(
         designs, np.asarray(y, dtype=float), np.zeros((designs.b, designs.p)))
-    return BatchFits(beta, _binomial_covariances(designs, beta), converged, iterations)
+    return BatchFits(beta, covariances, converged, iterations)
 
 
 def _firth_newton_many(designs: _BlockDesigns, y: np.ndarray, start: np.ndarray):
     """Newton iteration on the modified score from one start per slice.
 
-    Returns ``(beta, penalized_loglik, converged, iterations)``.
+    Returns ``(beta, penalized_loglik, converged, iterations, covariances)``.
+    The pi, w and X'WX that score a step's penalized likelihood serve the
+    next iteration, so each accepted beta is evaluated once.  A slice's
+    covariance is the inverse information at its last beta.
     """
     b = start.shape[0]
     beta = start.copy()
-    pen = _penalized_loglik_batch(designs, y, beta)
+    pen, pi, w, info = _penalized_loglik_batch(designs, y, beta)
+    covariances = np.empty((b, designs.p, designs.p))
     active = np.arange(b)
     iterations = np.zeros(b, dtype=int)
     converged = np.zeros(b, dtype=bool)
     xa = designs
     for _ in range(FIRTH_MAX_ITER):
         ba = beta[active]
-        pi = expit(xa.eta(ba))
-        w = pi * (1.0 - pi)
-        info = xa.xtwx(w)
-        hat = xa.hat(w, _batch_inv(info))
+        inv = _batch_inv(info)
+        hat = xa.hat(w, inv)
         u_star = xa.xt(y[None, :] - pi + hat * (0.5 - pi))
         done = np.linalg.norm(u_star, axis=1) < SCORE_TOL
         if np.any(done):
             converged[active[done]] = True
+            covariances[active[done]] = inv[done]
             keep = ~done
             active = active[keep]
             if not active.size:
@@ -678,7 +677,7 @@ def _firth_newton_many(designs: _BlockDesigns, y: np.ndarray, start: np.ndarray)
         big = np.max(np.abs(step), axis=1) / FIRTH_MAX_STEP
         step = np.where(big[:, None] > 1.0, step / np.maximum(big, 1.0)[:, None], step)
         new_beta = ba + step
-        new_pen = _penalized_loglik_batch(xa, y, new_beta)
+        new_pen, pi, w, info = _penalized_loglik_batch(xa, y, new_beta)
         pen_a = pen[active]
         # Halve only on decreases beyond rounding noise, or tiny Newton
         # steps near the optimum stall below the score tolerance.
@@ -689,11 +688,14 @@ def _firth_newton_many(designs: _BlockDesigns, y: np.ndarray, start: np.ndarray)
                 break
             step[worse] *= 0.5
             new_beta[worse] = ba[worse] + step[worse]
-            new_pen[worse] = _penalized_loglik_batch(xa.take(worse), y, new_beta[worse])
+            new_pen[worse], pi[worse], w[worse], info[worse] = _penalized_loglik_batch(
+                xa.take(worse), y, new_beta[worse])
         beta[active] = new_beta
         pen[active] = new_pen
         iterations[active] += 1
-    return beta, pen, converged, iterations
+    else:
+        covariances[active] = _batch_inv(info)
+    return beta, pen, converged, iterations, covariances
 
 
 def fit_gaussian_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> BatchFits:
@@ -730,15 +732,24 @@ def population_average_batch(fits: BatchFits, k: int, covariates=None):
     return mu, cov
 
 
-def _penalized_loglik_batch(designs: _BlockDesigns, y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def _penalized_loglik_batch(designs: _BlockDesigns, y: np.ndarray, beta: np.ndarray):
+    """``(loglik + 0.5 log|X'WX|, pi, w, X'WX)`` of every slice at ``beta``.
+
+    The log-determinant clamps w at 1e-300; the returned w and X'WX are
+    unclamped, as the Newton step and the covariance use them.
+    """
     eta = designs.eta(beta)
     pi = expit(eta)
-    w = np.maximum(pi * (1.0 - pi), 1e-300)
-    sign, logdet = np.linalg.slogdet(designs.xtwx(w))
+    w = pi * (1.0 - pi)
+    info = designs.xtwx(np.maximum(w, 1e-300))
+    sign, logdet = np.linalg.slogdet(info)
     ll = np.sum(y[None, :] * eta - np.logaddexp(0.0, eta), axis=1)
     out = ll + 0.5 * logdet
     out[sign <= 0] = -np.inf
-    return out
+    clamped = np.any(w < 1e-300, axis=1)
+    if np.any(clamped):
+        info[clamped] = designs.take(clamped).xtwx(w[clamped])
+    return out, pi, w, info
 
 
 def batch_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -289,7 +289,8 @@ def _draw_valid_sequences(
 
     Only complete randomization can leave an arm that small.  The valid
     rows are kept in order, fresh valid draws follow them, and the
-    number of rows drawn again is returned with them.
+    number of rows drawn again is returned with them.  A batch with no
+    row to replace is returned as it is, uncopied.
     """
     if spec.procedure != CR or min_arm == 0:
         return sequences, 0
@@ -299,6 +300,8 @@ def _draw_valid_sequences(
     batch = sequences
     for _ in range(_MAX_REDRAW_ROUNDS):
         ok = np.all(_arm_counts(batch, spec.k) >= min_arm, axis=1)
+        if not rows and ok.all():
+            return sequences, 0
         redraws += int(np.sum(~ok))
         rows.append(batch[ok])
         need -= int(np.sum(ok))

@@ -569,6 +569,8 @@ def _reject_unknown(d: dict, known: set[str], what: str) -> None:
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     _reject_unknown(d, {f.name for f in fields(ScenarioConfig)} - {"spec"} | set(_SPEC_KEYS),
                     "scenario config")
+    if "name" not in d:
+        raise ValueError("scenario config is missing the required field 'name'")
     spec = spec_from_dict(d)
     d = {key: val for key, val in d.items() if key not in _SPEC_KEYS}
     n_rand = int(d.pop("n_rand", 1000))

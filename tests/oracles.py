@@ -2,11 +2,29 @@
 
 These deliberately avoid the implementation paths they check: the
 penalized-likelihood maximizer is a grid search with local refinement,
-and the contrast maximizer is a generic constrained optimizer.
+and the contrast maximizer is a generic constrained optimizer.  The
+batched-kernel references at the end are the earlier loops that
+recompute every quantity where they use it; the kernels must match
+them bit for bit.
 """
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
+
+from randmcp.glm import (
+    DIVERGENCE_BOUND,
+    FIRTH_MAX_HALVINGS,
+    FIRTH_MAX_ITER,
+    FIRTH_MAX_STEP,
+    MLE_MAX_ITER,
+    SCORE_TOL,
+    BatchFits,
+    _as_covariates,
+    _batch_inv,
+    _binomial_covariances,
+    _BlockDesigns,
+    batch_solve,
+)
 
 
 def penalized_loglik_direct(x, y, beta):
@@ -121,3 +139,147 @@ class DenseDesigns:
 
     def hat(self, w, inv):
         return w * np.einsum("bnp,bpq,bnq->bn", self.x, inv, self.x)
+
+
+def mle_many_reference(arms_matrix, k, covariates, y):
+    """Batched IRLS that rebuilds X'WX after the score test and every
+    covariance at the end: the reference for ``glm.fit_mle_many``."""
+    designs = _BlockDesigns(arms_matrix, k, covariates)
+    y = np.asarray(y, dtype=float)
+    beta = np.zeros((designs.b, designs.p))
+    active = np.arange(designs.b)
+    iterations = np.zeros(designs.b, dtype=int)
+    converged = np.zeros(designs.b, dtype=bool)
+    xa = designs
+    for _ in range(MLE_MAX_ITER):
+        ba = beta[active]
+        pi = expit(xa.eta(ba))
+        score = xa.xt(y - pi)
+        done = np.linalg.norm(score, axis=1) < SCORE_TOL
+        if np.any(done):
+            converged[active[done]] = True
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                break
+            xa, ba, pi, score = xa.take(keep), ba[keep], pi[keep], score[keep]
+        step = batch_solve(xa.xtwx(pi * (1.0 - pi)), score)
+        beta[active] = ba + step
+        iterations[active] += 1
+
+    covariances = _binomial_covariances(designs, beta)
+    converged &= np.max(np.abs(beta), axis=1) <= DIVERGENCE_BOUND
+    return BatchFits(beta, covariances, converged, iterations)
+
+
+def firth_many_reference(arms_matrix, k, covariates, y):
+    """Batched Firth fits by :func:`firth_newton_reference`, covariances at the end."""
+    designs = _BlockDesigns(arms_matrix, k, covariates)
+    beta, _, converged, iterations = firth_newton_reference(
+        designs, np.asarray(y, dtype=float), np.zeros((designs.b, designs.p)))
+    return BatchFits(beta, _binomial_covariances(designs, beta), converged, iterations)
+
+
+def firth_newton_reference(designs, y, start):
+    """Firth Newton loop that evaluates pi, w and X'WX afresh at the top of
+    every iteration.  Returns ``(beta, penalized_loglik, converged, iterations)``.
+    """
+    b = start.shape[0]
+    beta = start.copy()
+    pen = penalized_loglik_reference(designs, y, beta)
+    active = np.arange(b)
+    iterations = np.zeros(b, dtype=int)
+    converged = np.zeros(b, dtype=bool)
+    xa = designs
+    for _ in range(FIRTH_MAX_ITER):
+        ba = beta[active]
+        pi = expit(xa.eta(ba))
+        w = pi * (1.0 - pi)
+        info = xa.xtwx(w)
+        hat = xa.hat(w, _batch_inv(info))
+        u_star = xa.xt(y[None, :] - pi + hat * (0.5 - pi))
+        done = np.linalg.norm(u_star, axis=1) < SCORE_TOL
+        if np.any(done):
+            converged[active[done]] = True
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                break
+            xa, ba, u_star, info = xa.take(keep), ba[keep], u_star[keep], info[keep]
+        step = batch_solve(info, u_star)
+        big = np.max(np.abs(step), axis=1) / FIRTH_MAX_STEP
+        step = np.where(big[:, None] > 1.0, step / np.maximum(big, 1.0)[:, None], step)
+        new_beta = ba + step
+        new_pen = penalized_loglik_reference(xa, y, new_beta)
+        pen_a = pen[active]
+        slack = 1e-10 * (1.0 + np.abs(pen_a))
+        for _h in range(FIRTH_MAX_HALVINGS):
+            worse = new_pen < pen_a - slack
+            if not np.any(worse):
+                break
+            step[worse] *= 0.5
+            new_beta[worse] = ba[worse] + step[worse]
+            new_pen[worse] = penalized_loglik_reference(xa.take(worse), y, new_beta[worse])
+        beta[active] = new_beta
+        pen[active] = new_pen
+        iterations[active] += 1
+    return beta, pen, converged, iterations
+
+
+def penalized_loglik_reference(designs, y, beta):
+    """``loglik + 0.5 log|X'WX|`` per slice, w clamped at 1e-300."""
+    eta = designs.eta(beta)
+    pi = expit(eta)
+    w = np.maximum(pi * (1.0 - pi), 1e-300)
+    sign, logdet = np.linalg.slogdet(designs.xtwx(w))
+    ll = np.sum(y[None, :] * eta - np.logaddexp(0.0, eta), axis=1)
+    out = ll + 0.5 * logdet
+    out[sign <= 0] = -np.inf
+    return out
+
+
+def separation_scan_reference(arms_matrix, y, x, k):
+    """Threshold-scan separation codes with one (B, n) masked pass per sign
+    and arm: the reference for ``glm.separation_batch`` with <= 1 covariate."""
+    b, n = arms_matrix.shape
+    y = np.asarray(y, dtype=float)
+    z = _as_covariates(x, n)
+    assert z.shape[1] <= 1
+    x = z[:, 0] if z.shape[1] else np.zeros(n)
+    complete = np.zeros(b, dtype=bool)
+    quasi = np.zeros(b, dtype=bool)
+    degenerate = np.zeros(b, dtype=bool)
+    for sign in (1.0, -1.0):
+        u = sign * x
+        weak_all = np.ones(b, dtype=bool)
+        strict_all = np.ones(b, dtype=bool)
+        any_slack = np.zeros(b, dtype=bool)
+        for j in range(k):
+            mask = arms_matrix == j
+            succ = mask & (y == 1.0)
+            fail = mask & (y == 0.0)
+            n_succ = succ.sum(axis=1)
+            n_fail = fail.sum(axis=1)
+            present = (n_succ + n_fail) > 0
+            hom = present & ((n_succ == 0) | (n_fail == 0))
+            if sign > 0:
+                degenerate |= hom
+            any_slack |= hom
+            mixed = present & ~hom
+            lo = np.where(fail, u[None, :], -np.inf).max(axis=1)
+            hi = np.where(succ, u[None, :], np.inf).min(axis=1)
+            hi_max = np.where(succ, u[None, :], -np.inf).max(axis=1)
+            lo_min = np.where(fail, u[None, :], np.inf).min(axis=1)
+            gap = mixed & (hi > lo)
+            tie = mixed & (hi == lo)
+            bad = mixed & (hi < lo)
+            any_slack |= gap
+            any_slack |= tie & ((hi_max > hi) | (lo_min < lo))
+            strict_all &= ~(tie | bad)
+            weak_all &= ~bad
+        complete |= weak_all & strict_all & any_slack
+        quasi |= weak_all & any_slack
+    out = np.zeros(b, dtype=int)
+    out[quasi | degenerate] = 1
+    out[complete] = 2
+    return out

@@ -156,6 +156,21 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "o"), "--workers", "1") == 2
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_replay_config_field_exits_2(self, replay_config, tmp_path, capsys):
+        assert run_cli("simulate", "--config", str(replay_config(alpah=0.5)),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert "alpah" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_without_name_exits_2(self, tiny_scenario, tmp_path, capsys):
+        config = json.loads(tiny_scenario.read_text())
+        del config["name"]
+        tiny_scenario.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", str(tiny_scenario),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert "required field 'name'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x", "doses": [0, 10], "procedure": "urn",

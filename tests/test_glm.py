@@ -24,7 +24,15 @@ from randmcp.glm import (
 )
 
 
-from oracles import DenseDesigns, grid_maximize_penalized, separation_lp
+from oracles import (
+    DenseDesigns,
+    firth_many_reference,
+    grid_maximize_penalized,
+    mle_many_reference,
+    penalized_loglik_reference,
+    separation_lp,
+    separation_scan_reference,
+)
 
 
 class TestMleBinary:
@@ -535,3 +543,109 @@ class TestBlockStructuredKernels:
                 for together, single in zip(both, alone):
                     assert np.array_equal(together[j], single[0])
 
+
+
+OUTCOMES = ("random", "rare", "complete", "quasi", "arm")
+
+
+def kernel_problem(rng, k, q, n, b, outcome):
+    """Arms (B, n), covariates (n, q) rounded to provoke ties, and outcomes.
+
+    Arms are drawn independently per patient, so small rows can lose an
+    arm.  ``complete`` outcomes split at a covariate threshold,
+    ``quasi`` ones also mix both levels at the threshold, and ``arm``
+    gives one arm of the first row a single outcome level.
+    """
+    arms = rng.integers(0, k, size=(b, n))
+    z = np.round(rng.normal(size=(n, q)), 1)
+    x = z[:, 0] if q else arms[0].astype(float)
+    if outcome == "random":
+        y = rng.random(n) < rng.choice([0.1, 0.3, 0.5])
+    elif outcome == "rare":
+        y = rng.random(n) < 0.05
+    elif outcome == "arm":
+        y = arms[0] == 0
+    else:
+        cut = np.median(x)
+        y = x > cut
+        if outcome == "quasi":
+            y[x == cut] = rng.random(np.sum(x == cut)) < 0.5
+    return arms, k, z, y.astype(float)
+
+
+@st.composite
+def kernel_problems(draw):
+    k = draw(st.integers(1, 5))
+    q = draw(st.integers(0, 2))
+    n = draw(st.integers(max(6, 3 * (k + q)), 50))
+    b = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return kernel_problem(rng, k, q, n, b, draw(st.sampled_from(OUTCOMES)))
+
+
+class TestKernelsMatchReferenceLoops:
+    """The kernels against the reference loops in ``oracles``, which
+    evaluate every quantity afresh where they use it: same bits."""
+
+    @staticmethod
+    def assert_matches_references(arms, k, z, y):
+        """Compare fits and codes with the references; return the Firth fits."""
+        designs = glm._BlockDesigns(arms, k, z)
+        for fit_many, reference in ((fit_mle_many, mle_many_reference),
+                                    (fit_firth_many, firth_many_reference)):
+            fits, ref = fit_many(arms, k, z, y), reference(arms, k, z, y)
+            for field in ("coefficients", "covariances", "converged", "iterations"):
+                assert np.array_equal(getattr(fits, field), getattr(ref, field)), field
+            covariances = glm._binomial_covariances(designs, fits.coefficients)
+            assert np.array_equal(fits.covariances, covariances)
+        if z.shape[1] <= 1:
+            assert np.array_equal(separation_batch(arms, y, z, k),
+                                  separation_scan_reference(arms, y, z, k))
+        return fits
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=kernel_problems())
+    def test_fuzzed_designs(self, problem):
+        self.assert_matches_references(*problem)
+
+    def test_seeded_corpus_reaches_every_branch(self):
+        """Halvings, the w clamp, the iteration caps and all three
+        separation codes occur in this corpus, so the comparison covers them."""
+        rng = np.random.default_rng(31)
+        seen = {"halvings": 0, "clamped": 0, "firth_cap": 0, "codes": set()}
+        penalized = glm._penalized_loglik_batch
+
+        def spy(designs, y, beta):
+            out = penalized(designs, y, beta)
+            seen["clamped"] += int(np.sum(np.any(out[2] < 1e-300, axis=1)))
+            return out
+
+        for i in range(60):
+            k, q = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+            n, b = int(rng.integers(max(6, 3 * (k + q)), 50)), int(rng.integers(1, 9))
+            arms, k, z, y = kernel_problem(rng, k, q, n, b, OUTCOMES[i % len(OUTCOMES)])
+            with mock.patch.object(glm, "_penalized_loglik_batch", side_effect=spy) as calls:
+                fits = self.assert_matches_references(arms, k, z, y)
+            # One call per step plus the start; the rest are halving rounds.
+            seen["halvings"] += calls.call_count - 1 - int(fits.iterations.max())
+            seen["firth_cap"] += int(np.sum(fits.iterations == glm.FIRTH_MAX_ITER))
+            if q <= 1:
+                seen["codes"].update(separation_batch(arms, y, z, k).tolist())
+        assert seen["halvings"] > 0 and seen["clamped"] > 0 and seen["firth_cap"] > 0
+        assert seen["codes"] == {0, 1, 2}
+
+    def test_clamped_weights_keep_parent_likelihood_and_exact_information(self):
+        # Arm 2 holds one patient at eta = -800, so its w underflows to 0.
+        arms = np.array([[0, 1, 0, 1, 2, 0, 1, 0]])
+        x = np.array([0.3, -1.2, 0.8, 0.1, 0.5, -0.4, 1.1, -0.9])
+        y = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        designs = glm._BlockDesigns(arms, 3, x)
+        beta = np.array([[0.2, -0.1, -800.0, 0.0]])
+        pen, pi, w, info = glm._penalized_loglik_batch(designs, y, beta)
+        assert w[0, 4] == 0.0
+        assert np.array_equal(pen, penalized_loglik_reference(designs, y, beta))
+        assert np.isfinite(pen[0])  # the clamp keeps |X'WX| > 0
+        assert np.array_equal(pi, expit(designs.eta(beta)))
+        assert np.array_equal(w, pi * (1.0 - pi))
+        assert np.array_equal(info, designs.xtwx(w))
+        assert info[0, 2, 2] == 0.0

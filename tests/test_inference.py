@@ -20,6 +20,7 @@ from randmcp.dose_response import (
 )
 from randmcp.inference import (
     DegenerateVarianceError,
+    _draw_valid_sequences,
     TestMethod,
     exact_randomization_pvalue,
     fit_residual_model,
@@ -328,6 +329,27 @@ class TestRandomizationTest:
                                  default_candidate_set(), substream(8, 1))
         assert out.diagnostics["separated_refits"] > 0
         assert "observed_separation" in out.diagnostics
+
+    def test_valid_batch_kept_and_invalid_rows_redrawn(self):
+        spec = RandomizationSpec(procedure="cr", grid=GRID4, n=40, weights=(1, 1, 1, 1))
+        batch = sample_sequences(spec, 6, substream(9, 0))
+        rng = substream(9, 1)
+        out, redraws = _draw_valid_sequences(spec, batch, rng, 2)
+        assert out is batch and redraws == 0
+        assert np.array_equal(rng.random(3), substream(9, 1).random(3))  # no draw made
+        rng = substream(9, 1)
+        # One row with a single patient outside arm 0: it is redrawn from
+        # the same stream, after the valid rows.
+        bad = batch.copy()
+        bad[2] = 0
+        bad[2, 0] = 1
+        out, redraws = _draw_valid_sequences(spec, bad, rng, 2)
+        reference = substream(9, 1)
+        fresh = sample_sequences(spec, 1, reference)
+        assert np.bincount(fresh[0], minlength=4).min() >= 2
+        assert redraws == 1
+        assert np.array_equal(out, np.concatenate([batch[[0, 1, 3, 4, 5]], fresh]))
+        assert np.array_equal(rng.random(3), reference.random(3))
 
     def test_two_covariate_separated_refits_match_lp_count(self):
         spec = RandomizationSpec(procedure="pbd", grid=GRID4, n=28, block=(1, 2, 2, 2))
