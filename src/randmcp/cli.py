@@ -31,6 +31,7 @@ from .dose_response import DoseGrid, candidate_set_from_config, default_candidat
 from .inference import METHOD_IDS, TestMethod, analyze
 from .presets import load_preset, preset_names
 from .randomization import (
+    ENUMERATION_CAP,
     EnumerationTooLargeError,
     RandomizationSpec,
     count_sequences,
@@ -417,7 +418,8 @@ def _cmd_enumerate(args) -> int:
     try:
         writer = csv.writer(sink)
         writer.writerow(["sequence_index", "probability", "assignments"])
-        for idx, (seq, prob) in enumerate(sequences):
+        rows = (row for arms, probs in sequences for row in zip(arms.tolist(), probs.tolist()))
+        for idx, (seq, prob) in enumerate(rows):
             writer.writerow([idx, repr(prob), " ".join(map(str, seq))])
     finally:
         if args.out:
@@ -475,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--preset")
     enu.add_argument("--config")
     enu.add_argument("--out", help="output CSV (default stdout)")
-    enu.add_argument("--cap", type=int, default=10_000_000)
+    enu.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     enu.set_defaults(func=_cmd_enumerate)
     return parser
 

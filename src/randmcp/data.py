@@ -15,14 +15,17 @@ class TrialDataset:
 
     arms: np.ndarray  # (n,) arm indices into grid.doses
     outcomes: np.ndarray  # (n,) 0/1 for binary, real for continuous
-    covariates: np.ndarray  # (n, p); p may be 0
+    covariates: np.ndarray | None  # (n, p); p may be 0, and None means p = 0
     grid: DoseGrid
     endpoint: str = "binary"  # "binary" | "continuous"
 
     def __post_init__(self):
         arms = np.asarray(self.arms, dtype=int)
         outcomes = np.asarray(self.outcomes, dtype=float)
-        cov = np.asarray(self.covariates, dtype=float)
+        if self.covariates is None:
+            cov = np.empty((arms.shape[0], 0))
+        else:
+            cov = np.asarray(self.covariates, dtype=float)
         if cov.ndim == 1:
             cov = cov[:, None]
         if cov.size == 0:

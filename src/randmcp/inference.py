@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 from scipy.special import chdtr, chdtrc, fdtr, fdtrc, ndtri
@@ -50,8 +49,6 @@ METHOD_NUMBERS = {
     "residual_firth": 5,
 }
 _MAX_REDRAW_ROUNDS = 1000
-# Reference-set sequences evaluated per batch by the exact test.
-EXACT_CHUNK = 20_000
 
 
 class DegenerateVarianceError(RuntimeError):
@@ -449,12 +446,8 @@ def exact_randomization_pvalue(
     mass_valid = 0.0
     mass_excluded = 0.0
     total = 0
-    reference = enumerate_sequences(spec)
-    while chunk := list(islice(reference, EXACT_CHUNK)):
-        total += len(chunk)
-        arms_matrix = np.stack([seq for seq, _ in chunk], axis=0)
-        pvec = np.array([prob for _, prob in chunk])
-        chunk.clear()  # drop the per-sequence arrays before the next chunk is drawn
+    for arms_matrix, pvec in enumerate_sequences(spec):
+        total += pvec.size
         ok = np.all(_arm_counts(arms_matrix, spec.k) >= min_arm, axis=1)
         mass_excluded += float(pvec[~ok].sum())
         if np.any(ok):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -18,6 +17,8 @@ import numpy as np
 from .dose_response import DoseGrid
 
 ENUMERATION_CAP = 10_000_000
+# Reference-set sequences per chunk yielded by enumerate_sequences.
+CHUNK = 20_000
 
 CR = "cr"
 RA = "ra"
@@ -171,15 +172,6 @@ def _multinomial(counts) -> int:
     return out
 
 
-def sequence_probability(spec: RandomizationSpec, seq: np.ndarray) -> float:
-    """Probability the procedure assigns to one member of its reference set."""
-    if spec.procedure == CR:
-        probs = np.asarray(spec.probs)
-        return float(np.prod(probs[np.asarray(seq, dtype=int)]))
-    count, _ = count_sequences(spec)
-    return 1.0 / count
-
-
 def is_member(spec: RandomizationSpec, seq) -> bool:
     """Whether a sequence lies in the procedure's reference set."""
     seq = np.asarray(seq, dtype=int)
@@ -198,55 +190,67 @@ def is_member(spec: RandomizationSpec, seq) -> bool:
 
 def enumerate_sequences(
     spec: RandomizationSpec, cap: int = ENUMERATION_CAP
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Iterate over every reference-set sequence exactly once with its probability.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Iterate over the reference set in chunks ``(arms (B, n), probs (B,))``.
 
-    Raises :class:`EnumerationTooLargeError` at the call, before any
-    sequence is produced, when the exact count exceeds ``cap``.  Under
-    weighted complete randomization the items are the distinct arm
-    sequences (with their probabilities), not the individually counted
-    die outcomes.
+    Every chunk but the last holds :data:`CHUNK` sequences, and rows
+    come in lexicographic order of their arm indices.  Raises
+    :class:`EnumerationTooLargeError` at the call, before any chunk is
+    produced, when the exact count exceeds ``cap`` or is so large that
+    count times n overflows 64-bit unranking.  Under weighted complete
+    randomization the rows are the distinct arm sequences (with their
+    probabilities), not the individually counted die outcomes.
     """
     count = spec.k ** spec.n if spec.procedure == CR else count_sequences(spec)[0]
+    cap = min(cap, (2 ** 63 - 1) // spec.n)
     if count > cap:
         raise EnumerationTooLargeError(count, cap)
-    return _reference_set(spec, count)
+    return _chunks(spec, count)
 
 
-def _reference_set(spec: RandomizationSpec, count: int) -> Iterator[tuple[np.ndarray, float]]:
-    if spec.procedure == CR:
-        probs = np.asarray(spec.probs)
-        for tup in product(range(spec.k), repeat=spec.n):
-            seq = np.array(tup, dtype=int)
-            yield seq, float(np.prod(probs[seq]))
-        return
-    p = 1.0 / count
-    if spec.procedure == RA:
-        for tup in _multiset_permutations(list(spec.targets)):
-            yield np.array(tup, dtype=int), p
-        return
-    block_arrangements = [
-        np.array(tup, dtype=int) for tup in _multiset_permutations(list(spec.block))
-    ]
-    for combo in product(block_arrangements, repeat=spec.n_blocks):
-        yield np.concatenate(combo), p
+def _chunks(spec: RandomizationSpec, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The reference set CHUNK rows at a time, each row unranked from its index."""
+    if spec.procedure != RA:
+        # One patient (CR) or one block (PBD) per base-``base`` digit of the index.
+        if spec.procedure == CR:
+            table = np.arange(spec.k)[:, None]
+        else:
+            table = _unrank_multiset(spec.block, np.arange(_multinomial(spec.block)))
+        base = table.shape[0]
+        place = base ** np.arange(spec.n // table.shape[1] - 1, -1, -1, dtype=np.int64)
+    for lo in range(0, count, CHUNK):
+        index = np.arange(lo, min(lo + CHUNK, count), dtype=np.int64)
+        if spec.procedure == RA:
+            arms = _unrank_multiset(spec.targets, index)
+        else:
+            arms = table[index[:, None] // place % base].reshape(index.size, spec.n)
+        if spec.procedure == CR:
+            yield arms, np.prod(np.asarray(spec.probs)[arms], axis=1)
+        else:
+            yield arms, np.full(index.size, 1.0 / count)
 
 
-def _multiset_permutations(counts: list[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct arrangements of a multiset given per-symbol counts."""
-    total = sum(counts)
-    prefix: list[int] = []
+def _unrank_multiset(counts: tuple[int, ...], index: np.ndarray) -> np.ndarray:
+    """Rows ``index`` of the lexicographic list of a multiset's arrangements.
 
-    def rec():
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for sym, c in enumerate(counts):
-            if c:
-                counts[sym] -= 1
-                prefix.append(sym)
-                yield from rec()
-                prefix.pop()
-                counts[sym] += 1
-
-    yield from rec()
+    Of the ``total`` arrangements left after a prefix, ``total * c_s /
+    remaining`` start with symbol s.  Each position takes the first
+    symbol whose running sum of these exceeds the rank, and the rank
+    drops by the sum before it.
+    """
+    b, n = index.size, sum(counts)
+    # Symbols run down axis 0, so the running sums are over contiguous rows.
+    left = np.repeat(np.asarray(counts, dtype=np.int64)[:, None], b, axis=1)
+    total = np.full(b, _multinomial(counts), dtype=np.int64)
+    rank = index.copy()
+    cols = np.arange(b)
+    out = np.empty((b, n), dtype=np.int64)
+    for j in range(n):
+        starting = total * left // (n - j)
+        below = np.cumsum(starting, axis=0)
+        sym = np.sum(rank >= below, axis=0)
+        out[:, j] = sym
+        total = starting[sym, cols]
+        rank -= below[sym, cols] - total
+        left[sym, cols] -= 1
+    return out

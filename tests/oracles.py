@@ -5,8 +5,12 @@ penalized-likelihood maximizer is a grid search with local refinement,
 and the contrast maximizer is a generic constrained optimizer.  The
 batched-kernel references at the end are the earlier loops that
 recompute every quantity where they use it; the kernels must match
-them bit for bit.
+them bit for bit.  The reference-set generator is the earlier
+per-sequence recursion that the chunked enumerator must reproduce row
+for row.
 """
+from itertools import product
+
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -24,6 +28,13 @@ from randmcp.glm import (
     _binomial_covariances,
     _BlockDesigns,
     batch_solve,
+)
+from randmcp.randomization import (
+    CR,
+    ENUMERATION_CAP,
+    RA,
+    count_sequences,
+    enumerate_sequences,
 )
 
 
@@ -283,3 +294,63 @@ def separation_scan_reference(arms_matrix, y, x, k):
     out[quasi | degenerate] = 1
     out[complete] = 2
     return out
+
+
+def enumerated(spec, cap=ENUMERATION_CAP):
+    """The enumerator's chunks joined into ``(arms (N, n), probs (N,))``."""
+    chunks = list(enumerate_sequences(spec, cap))
+    return np.concatenate([a for a, _ in chunks]), np.concatenate([p for _, p in chunks])
+
+
+def reference_sequences(spec):
+    """Every reference-set ``(sequence, probability)`` from the per-sequence generator."""
+    count = spec.k ** spec.n if spec.procedure == CR else count_sequences(spec)[0]
+    return _reference_set(spec, count)
+
+
+def sequence_probability(spec, seq) -> float:
+    """Probability the procedure assigns to one member of its reference set."""
+    if spec.procedure == CR:
+        probs = np.asarray(spec.probs)
+        return float(np.prod(probs[np.asarray(seq, dtype=int)]))
+    count, _ = count_sequences(spec)
+    return 1.0 / count
+
+
+def _reference_set(spec, count):
+    if spec.procedure == CR:
+        probs = np.asarray(spec.probs)
+        for tup in product(range(spec.k), repeat=spec.n):
+            seq = np.array(tup, dtype=int)
+            yield seq, float(np.prod(probs[seq]))
+        return
+    p = 1.0 / count
+    if spec.procedure == RA:
+        for tup in _multiset_permutations(list(spec.targets)):
+            yield np.array(tup, dtype=int), p
+        return
+    block_arrangements = [
+        np.array(tup, dtype=int) for tup in _multiset_permutations(list(spec.block))
+    ]
+    for combo in product(block_arrangements, repeat=spec.n_blocks):
+        yield np.concatenate(combo), p
+
+
+def _multiset_permutations(counts):
+    """Distinct arrangements of a multiset given per-symbol counts."""
+    total = sum(counts)
+    prefix = []
+
+    def rec():
+        if len(prefix) == total:
+            yield tuple(prefix)
+            return
+        for sym, c in enumerate(counts):
+            if c:
+                counts[sym] -= 1
+                prefix.append(sym)
+                yield from rec()
+                prefix.pop()
+                counts[sym] += 1
+
+    yield from rec()

@@ -11,7 +11,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import grid_maximize_penalized, maximize_gain_numerically, standardized_gain
+from oracles import (
+    enumerated,
+    grid_maximize_penalized,
+    maximize_gain_numerically,
+    standardized_gain,
+)
 
 from randmcp.contrasts import optimal_contrast
 from randmcp.data import TrialDataset
@@ -29,7 +34,7 @@ from randmcp.inference import (
     randomization_test,
 )
 from randmcp.presets import load_preset
-from randmcp.randomization import RandomizationSpec, count_sequences, enumerate_sequences
+from randmcp.randomization import RandomizationSpec, count_sequences
 from randmcp.rng import substream
 from randmcp.simulate import (
     _trial_diagnostics,
@@ -188,8 +193,7 @@ def test_criterion_4_exact_test_oracle():
         RandomizationSpec(procedure="ra", grid=GRID2, n=4, targets=(2, 2)),
         RandomizationSpec(procedure="pbd", grid=GRID2, n=4, block=(1, 1)),
     ):
-        sequences = [seq for seq, _ in enumerate_sequences(spec)]
-        probs = [p for _, p in enumerate_sequences(spec)]
+        sequences, probs = enumerated(spec)
         method = TestMethod(id="residual_firth")
         for bits in range(2 ** spec.n):
             y = np.array([(bits >> i) & 1 for i in range(spec.n)], dtype=float)

@@ -313,6 +313,27 @@ class TestEnumerateCommand:
         probs = [float(line.split(",")[1]) for line in lines[1:]]
         assert sum(probs) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("config, expected", [
+        ({"doses": [0.0, 50.0, 100.0], "procedure": "ra", "n": 4, "targets": [1, 1, 2]},
+         "".join(f"{i},0.08333333333333333,{seq}\r\n" for i, seq in enumerate([
+             "0 1 2 2", "0 2 1 2", "0 2 2 1", "1 0 2 2", "1 2 0 2", "1 2 2 0",
+             "2 0 1 2", "2 0 2 1", "2 1 0 2", "2 1 2 0", "2 2 0 1", "2 2 1 0"]))),
+        ({"doses": [0.0, 50.0, 100.0], "procedure": "pbd", "n": 4, "block": [1, 0, 1]},
+         "0,0.25,0 2 0 2\r\n1,0.25,0 2 2 0\r\n2,0.25,2 0 0 2\r\n3,0.25,2 0 2 0\r\n"),
+        ({"doses": [0.0, 100.0], "procedure": "cr", "n": 3, "weights": [1, 2]},
+         "0,0.037037037037037035,0 0 0\r\n1,0.07407407407407407,0 0 1\r\n"
+         "2,0.07407407407407407,0 1 0\r\n3,0.14814814814814814,0 1 1\r\n"
+         "4,0.07407407407407407,1 0 0\r\n5,0.14814814814814814,1 0 1\r\n"
+         "6,0.14814814814814814,1 1 0\r\n7,0.2962962962962963,1 1 1\r\n"),
+    ])
+    def test_csv_bytes_are_pinned(self, tmp_path, config, expected):
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "seqs.csv"
+        assert run_cli("enumerate", "--config", str(cfg), "--out", str(out)) == 0
+        header = "sequence_index,probability,assignments\r\n"
+        assert out.read_bytes() == (header + expected).encode()
+
     def test_cap_exceeded_exits_3(self, tmp_path):
         cfg = tmp_path / "big.json"
         cfg.write_text(json.dumps({

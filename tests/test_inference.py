@@ -34,13 +34,12 @@ from randmcp.inference import (
 from randmcp.glm import design_from_assignments
 from randmcp.randomization import (
     RandomizationSpec,
-    enumerate_sequences,
     sample_sequence,
     sample_sequences,
 )
 from randmcp.rng import substream
 
-from oracles import separation_lp
+from oracles import enumerated, separation_lp
 
 GRID4 = DoseGrid(doses=(0.0, 10.0, 25.0, 100.0))
 GRID2 = DoseGrid(doses=(0.0, 100.0))
@@ -48,10 +47,8 @@ LINEAR_ONLY = CandidateSet(models=(CandidateModel(shape="linear", name="linear")
 
 
 def toy_dataset(arms, outcomes, grid, covariates=None, endpoint="binary"):
-    n = len(arms)
-    cov = np.empty((n, 0)) if covariates is None else np.asarray(covariates, dtype=float)
-    return TrialDataset(arms=np.asarray(arms), outcomes=np.asarray(outcomes, dtype=float),
-                        covariates=cov, grid=grid, endpoint=endpoint)
+    return TrialDataset(arms=arms, outcomes=outcomes, covariates=covariates, grid=grid,
+                        endpoint=endpoint)
 
 
 def trial_corr():
@@ -417,7 +414,7 @@ class TestExactTest:
         # satisfies P(p <= alpha) <= alpha at every level.
         spec = RandomizationSpec(procedure="ra", grid=GRID2, n=4, targets=(2, 2))
         method = TestMethod(id="residual_firth")
-        sequences = [seq for seq, _ in enumerate_sequences(spec)]
+        sequences, _ = enumerated(spec)
         alphas = np.linspace(0.02, 1.0, 20)
         for bits in range(16):
             y = np.array([(bits >> i) & 1 for i in range(4)], dtype=float)
@@ -430,6 +427,55 @@ class TestExactTest:
             pvals = np.array(pvals)
             for alpha in alphas:
                 assert np.mean(pvals <= alpha) <= alpha + 1e-12
+
+
+GRID3 = DoseGrid(doses=(0.0, 25.0, 100.0))
+
+
+def covariate_trial(spec, seed):
+    """A binary trial on GRID3 whose log-odds rise with dose and one covariate."""
+    rng = substream(seed, spec.n)
+    arms = sample_sequence(spec, rng)
+    x = rng.normal(size=spec.n)
+    eta = -0.4 + np.array([0.0, 0.6, 1.2])[arms] + 0.9 * x
+    y = (rng.random(spec.n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return toy_dataset(arms, y, GRID3, covariates=x[:, None])
+
+
+class TestExactPinned:
+    """Exact p-values pinned bit for bit.
+
+    The mass sums run over the reference set in enumeration order, chunk
+    by chunk, so a change to the rows, their order, their probabilities
+    or the chunk boundaries shows up here even when it moves p by one ulp.
+    """
+
+    RA = RandomizationSpec(procedure="ra", grid=GRID3, n=12, targets=(4, 4, 4))
+    PBD = RandomizationSpec(procedure="pbd", grid=GRID3, n=9, block=(1, 1, 1))
+    CR = RandomizationSpec(procedure="cr", grid=GRID3, n=7, weights=(1, 1, 2))
+
+    @pytest.mark.parametrize("seed, method_id, p", [
+        (4, "residual_mle", 0.07471861471861471),
+        (4, "residual_firth", 0.07780663780663781),
+        (7, "residual_mle", 0.13347763347763347),
+        (7, "residual_firth", 0.12917748917748917),
+    ])
+    def test_random_allocation(self, seed, method_id, p):
+        out = exact_randomization_pvalue(covariate_trial(self.RA, seed), self.RA,
+                                         TestMethod(id=method_id), default_candidate_set())
+        assert out.diagnostics["reference_set_size"] == 34650
+        assert out.p_value == p
+
+    def test_permuted_blocks_refit_statistic(self):
+        out = exact_randomization_pvalue(covariate_trial(self.PBD, 2), self.PBD,
+                                         TestMethod(id="glm_mle"), default_candidate_set())
+        assert out.p_value == 0.35648148148148157
+
+    def test_complete_randomization_with_excluded_mass(self):
+        out = exact_randomization_pvalue(covariate_trial(self.CR, 2), self.CR,
+                                         TestMethod(id="residual_firth"), default_candidate_set())
+        assert out.diagnostics["excluded_probability_mass"] == 0.794921875
+        assert out.p_value == 0.20357142857142857
 
 
 class TestResidualModel:

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from oracles import enumerated, reference_sequences, sequence_probability
+
+from randmcp import randomization
 from randmcp.dose_response import DoseGrid
 from randmcp.randomization import (
     EnumerationTooLargeError,
@@ -13,7 +18,6 @@ from randmcp.randomization import (
     is_member,
     sample_sequence,
     sample_sequences,
-    sequence_probability,
 )
 from randmcp.rng import substream
 
@@ -119,7 +123,7 @@ class TestSampling:
 class TestEnumeration:
     def test_ra_two_plus_two(self):
         spec = RandomizationSpec(procedure="ra", grid=GRID2, n=4, targets=(2, 2))
-        items = list(enumerate_sequences(spec))
+        items = list(zip(*enumerated(spec)))
         assert len(items) == 6
         assert all(p == pytest.approx(1 / 6) for _, p in items)
         seqs = {tuple(s) for s, _ in items}
@@ -127,7 +131,7 @@ class TestEnumeration:
 
     def test_pbd_two_blocks(self):
         spec = RandomizationSpec(procedure="pbd", grid=GRID2, n=4, block=(1, 1))
-        items = list(enumerate_sequences(spec))
+        items = list(zip(*enumerated(spec)))
         assert len(items) == 4
         assert all(p == pytest.approx(1 / 4) for _, p in items)
 
@@ -138,7 +142,7 @@ class TestEnumeration:
             RandomizationSpec(procedure="cr", grid=GRID2, n=8, weights=(1, 2)),
         ]
         for spec in specs:
-            total = sum(p for _, p in enumerate_sequences(spec))
+            total = sum(p for _, p in zip(*enumerated(spec)))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_cap_error_names_exact_count(self):
@@ -150,15 +154,15 @@ class TestEnumeration:
         pbd = RandomizationSpec(procedure="pbd", grid=GRID2, n=6, block=(1, 2))
         ra = RandomizationSpec(procedure="ra", grid=GRID2, n=6, targets=(2, 4))
         cr = RandomizationSpec(procedure="cr", grid=GRID2, n=6, weights=(1, 2))
-        pbd_set = {tuple(s) for s, _ in enumerate_sequences(pbd)}
-        ra_set = {tuple(s) for s, _ in enumerate_sequences(ra)}
+        pbd_set = {tuple(s) for s, _ in zip(*enumerated(pbd))}
+        ra_set = {tuple(s) for s, _ in zip(*enumerated(ra))}
         assert pbd_set < ra_set
         for seq in ra_set:
             assert is_member(cr, np.array(seq))
 
     def test_sampling_frequencies_match_enumeration(self):
         spec = RandomizationSpec(procedure="ra", grid=GRID2, n=6, targets=(3, 3))
-        items = list(enumerate_sequences(spec))
+        items = list(zip(*enumerated(spec)))
         index = {tuple(s): i for i, (s, _) in enumerate(items)}
         draws = 100_000
         seqs = sample_sequences(spec, draws, substream(3, 0))
@@ -171,9 +175,66 @@ class TestEnumeration:
 
     def test_enumeration_matches_membership_and_probability(self):
         spec = RandomizationSpec(procedure="pbd", grid=GRID4, n=8, block=(1, 1, 1, 1))
-        for seq, prob in enumerate_sequences(spec):
+        for seq, prob in zip(*enumerated(spec)):
             assert is_member(spec, seq)
             assert prob == pytest.approx(sequence_probability(spec, seq))
+
+
+def _grid(k):
+    return DoseGrid(doses=tuple(float(d) for d in range(k)))
+
+
+@st.composite
+def small_specs(draw):
+    """RA, PBD (blocks may hold zero of an arm) and CR reference sets of at most 13,824 rows."""
+    procedure = draw(st.sampled_from(["ra", "pbd", "cr_weights", "cr_zero"]))
+    k = draw(st.integers(2, 4))
+    if procedure == "ra":
+        targets = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)
+                       .filter(lambda t: sum(t) <= 9))
+        return RandomizationSpec(procedure="ra", grid=_grid(k), n=sum(targets), targets=targets)
+    if procedure == "pbd":
+        block = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)
+                     .filter(lambda b: 1 <= sum(b) <= 4))
+        n_blocks = draw(st.integers(1, 3))
+        return RandomizationSpec(procedure="pbd", grid=_grid(k), n=n_blocks * sum(block),
+                                 block=block)
+    n = draw(st.integers(1, {2: 12, 3: 7, 4: 6}[k]))
+    if procedure == "cr_weights":
+        weights = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+        return RandomizationSpec(procedure="cr", grid=_grid(k), n=n, weights=weights)
+    probs = [0.0] + [1.0 / (k - 1)] * (k - 1)
+    return RandomizationSpec(procedure="cr", grid=_grid(k), n=n,
+                             probs=draw(st.permutations(probs)))
+
+
+class TestChunkedEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=small_specs(), chunk=st.sampled_from([3, 7, randomization.CHUNK]))
+    def test_chunks_match_per_sequence_generator(self, spec, chunk):
+        items = list(reference_sequences(spec))
+        want_arms = np.stack([seq for seq, _ in items])
+        want_probs = np.array([prob for _, prob in items])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randomization, "CHUNK", chunk)
+            chunks = list(enumerate_sequences(spec))
+        assert all(arms.shape[0] == chunk for arms, _ in chunks[:-1])
+        assert 1 <= chunks[-1][0].shape[0] <= chunk
+        arms = np.concatenate([a for a, _ in chunks])
+        probs = np.concatenate([p for _, p in chunks])
+        assert arms.dtype == want_arms.dtype
+        assert np.array_equal(arms, want_arms)
+        assert np.array_equal(probs.view(np.uint64), want_probs.view(np.uint64))
+
+    def test_cap_admits_only_counts_that_unrank_exactly(self):
+        # Unranking multiplies a count by at most n, in 64-bit integers.
+        admitted = RandomizationSpec(procedure="cr", grid=GRID2, n=57)  # 57 * 2**57 < 2**63
+        enumerate_sequences(admitted, cap=2 ** 64)  # lazy: builds no chunk
+        refused = RandomizationSpec(procedure="cr", grid=GRID2, n=58)  # 58 * 2**58 >= 2**63
+        with pytest.raises(EnumerationTooLargeError) as err:
+            enumerate_sequences(refused, cap=2 ** 64)
+        assert err.value.count == 2 ** 58
+        assert err.value.cap == (2 ** 63 - 1) // 58
 
 
 class TestMembership:

@@ -113,6 +113,14 @@ class TestGeneration:
         assert not np.array_equal(a.outcomes, c.outcomes)
 
 
+class TestTrialDataset:
+    def test_no_covariates_given_as_none(self):
+        data = TrialDataset(arms=[0, 1, 1, 0], outcomes=[0.0, 1.0, 1.0, 0.0],
+                            covariates=None, grid=GRID4)
+        assert data.covariates.shape == (4, 0)
+        assert data.n_covariates == 0
+
+
 class TestTrialDiagnostics:
     @pytest.mark.parametrize("failing_arm, expected", [(None, "none"), (1, "quasicomplete")])
     def test_empty_arm_without_covariate_matches_lp(self, failing_arm, expected):
