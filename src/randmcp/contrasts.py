@@ -26,6 +26,10 @@ class NoContrastsError(ValueError):
     """Every candidate was flat; the contrast matrix would be empty."""
 
 
+class SingularCovarianceError(np.linalg.LinAlgError):
+    """The covariance of the arm mean estimates is not positive definite."""
+
+
 @dataclass(frozen=True)
 class ContrastMatrix:
     """Per-candidate optimal contrasts, one unit-norm zero-sum row each."""
@@ -83,7 +87,7 @@ def _check_inputs(mu0s: np.ndarray, S: np.ndarray) -> None:
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"covariance is not positive definite: {exc}") from exc
+        raise SingularCovarianceError(f"covariance is not positive definite: {exc}") from exc
 
 
 def _optimal_contrasts_batch(mu0s: np.ndarray, covs: np.ndarray) -> np.ndarray:
@@ -111,11 +115,19 @@ def _optimal_contrasts_batch(mu0s: np.ndarray, covs: np.ndarray) -> np.ndarray:
 
 
 def shape_matrix(candidates: CandidateSet, grid: DoseGrid):
-    """Stacked mean vectors of the non-flat candidates: (M, k) plus labels."""
+    """Stacked mean vectors of the non-flat candidates: (M, k) plus labels.
+
+    A non-flat candidate that is constant over the dose grid (say,
+    ``linear`` with ``theta1=0``) has no contrast and raises
+    :class:`DegenerateShapeError`.
+    """
     models = candidates.non_flat()
     if not models:
         raise NoContrastsError("all candidate shapes are flat; no contrasts can be formed")
     mu0s = np.vstack([standardized_shape(m, grid) for m in models])
+    constant = [m.name for m, mu0 in zip(models, mu0s) if np.ptp(mu0) == 0.0]
+    if constant:
+        raise DegenerateShapeError(f"candidate shapes constant over the dose grid: {constant}")
     return mu0s, tuple(m.name for m in models)
 
 

@@ -22,12 +22,16 @@ class TrialDataset:
     def __post_init__(self):
         arms = np.asarray(self.arms, dtype=int)
         outcomes = np.asarray(self.outcomes, dtype=float)
+        if arms.ndim != 1:
+            raise ValueError(f"arms must be a vector, got shape {arms.shape}")
         if self.covariates is None:
             cov = np.empty((arms.shape[0], 0))
         else:
             cov = np.asarray(self.covariates, dtype=float)
         if cov.ndim == 1:
             cov = cov[:, None]
+        if cov.ndim != 2:
+            raise ValueError(f"covariates must be a vector or an (n, p) matrix, got shape {cov.shape}")
         if cov.size == 0:
             cov = cov.reshape(arms.shape[0], 0)
         object.__setattr__(self, "arms", arms)

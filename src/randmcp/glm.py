@@ -446,9 +446,8 @@ def population_average_means(fit: GlmFit, design: DesignMatrix) -> PopulationAve
     k = fit.dose_columns
     if k < 1:
         raise ValueError("population averages need a fit with dose-indicator columns")
-    fits = BatchFits(fit.coefficients[None], fit.covariance[None],
-                     np.array([fit.converged]), np.array([fit.iterations]))
-    mu, cov = population_average_batch(fits, k, design.values[:, k:])
+    mu, cov = population_average_batch(fit.coefficients[None], fit.covariance[None], k,
+                                       design.values[:, k:])
     return PopulationAverage(mu=mu[0], covariance=cov[0])
 
 
@@ -718,17 +717,18 @@ def fit_gaussian_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray
     )
 
 
-def population_average_batch(fits: BatchFits, k: int, covariates=None):
+def population_average_batch(coefficients, covariances, k: int, covariates=None):
     """Batched version of :func:`population_average_means`.
 
-    ``covariates`` (n, q) are the columns after the ``k`` dose
+    ``coefficients`` (B, p) and ``covariances`` (B, p, p) are batched
+    fits; ``covariates`` (n, q) are the columns after the ``k`` dose
     indicators.  Returns ``(mu, cov)`` with shapes (B, k) and (B, k, k).
     """
     cov = _as_covariates(covariates, None)
     # Arm means delta_j + xbar' gamma: the same linear map L for every slice.
     l_mat = np.hstack([np.eye(k), np.tile(cov.mean(axis=0), (k, 1))]) if cov.shape[1] else np.eye(k)
-    mu = np.einsum("kp,bp->bk", l_mat, fits.coefficients)
-    cov = np.einsum("kp,bpq,lq->bkl", l_mat, fits.covariances, l_mat)
+    mu = np.einsum("kp,bp->bk", l_mat, coefficients)
+    cov = np.einsum("kp,bpq,lq->bkl", l_mat, covariances, l_mat)
     return mu, cov
 
 

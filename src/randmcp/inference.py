@@ -21,8 +21,8 @@ from scipy.special import chdtr, chdtrc, fdtr, fdtrc, ndtri
 from scipy.stats import norm, qmc
 from scipy.stats import t as student_t
 
-from . import glm
-from .contrasts import (
+from . import contrasts, glm
+from .contrasts import (  # optimal_contrast is uncalled here; perfbench/trace.py patches it
     ContrastMatrix,
     _optimal_contrasts_batch,
     contrast_matrix,
@@ -41,13 +41,7 @@ from .randomization import (
 
 METHOD_IDS = ("population", "glm_mle", "residual_mle", "glm_firth", "residual_firth")
 # Conventional report numbering for the five procedures.
-METHOD_NUMBERS = {
-    "population": 1,
-    "glm_mle": 2,
-    "residual_mle": 3,
-    "glm_firth": 4,
-    "residual_firth": 5,
-}
+METHOD_NUMBERS = {mid: number for number, mid in enumerate(METHOD_IDS, start=1)}
 _MAX_REDRAW_ROUNDS = 1000
 
 
@@ -143,6 +137,14 @@ def _family(data: TrialDataset) -> str:
     return "binomial" if data.endpoint == "binary" else "gaussian"
 
 
+def _contrast_statistics(mu0s: np.ndarray, mu: np.ndarray, cov: np.ndarray):
+    """Per-contrast t (B, M) and optimal contrasts (B, M, k) of ``mu`` (B, k) under ``cov``."""
+    c = _optimal_contrasts_batch(mu0s, cov)
+    num = np.einsum("bmk,bk->bm", c, mu)
+    den = np.einsum("bmk,bkl,bml->bm", c, cov, c)
+    return np.where(den > 0, num / np.sqrt(np.where(den > 0, den, 1.0)), 0.0), c
+
+
 def glm_statistics_batch(
     data: TrialDataset,
     arms_matrix: np.ndarray,
@@ -167,11 +169,8 @@ def glm_statistics_batch(
     else:
         fit_many = glm.fit_mle_many
     fits = fit_many(arms_matrix, k, data.covariates, data.outcomes)
-    mu, cov = glm.population_average_batch(fits, k, data.covariates)
-    c = _optimal_contrasts_batch(mu0s, cov)
-    num = np.einsum("bmk,bk->bm", c, mu)
-    den = np.einsum("bmk,bkl,bml->bm", c, cov, c)
-    t_matrix = np.where(den > 0, num / np.sqrt(np.where(den > 0, den, 1.0)), 0.0)
+    mu, cov = glm.population_average_batch(fits.coefficients, fits.covariances, k, data.covariates)
+    t_matrix, _ = _contrast_statistics(mu0s, mu, cov)
     stats = t_matrix.max(axis=1)
     diag = {"nonconverged_refits": int(np.sum(~fits.converged))}
     if track_separation and family == "binomial" and estimator == "mle":
@@ -557,12 +556,8 @@ def population_test(
     fit = glm.fit_mle(design, data.outcomes, family=_family(data))
     avg = glm.population_average_means(fit, design)
     mu0s, labels = shape_matrix(candidates, data.grid)
-
-    rows = [optimal_contrast(mu0, avg.covariance) for mu0 in mu0s]
-    c = np.vstack(rows)
-    num = c @ avg.mu
-    den = np.einsum("mk,kl,ml->m", c, avg.covariance, c)
-    t_vec = np.where(den > 0, num / np.sqrt(np.where(den > 0, den, 1.0)), 0.0)
+    contrasts._check_inputs(mu0s, avg.covariance)
+    (t_vec,), (c,) = _contrast_statistics(mu0s, avg.mu[None], avg.covariance[None])
     t_obs = float(t_vec.max())
 
     cross = np.einsum("mk,kl,nl->mn", c, avg.covariance, c)

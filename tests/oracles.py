@@ -7,7 +7,8 @@ batched-kernel references at the end are the earlier loops that
 recompute every quantity where they use it; the kernels must match
 them bit for bit.  The reference-set generator is the earlier
 per-sequence recursion that the chunked enumerator must reproduce row
-for row.
+for row.  The population statistic is the earlier per-shape loop that
+the shared contrast kernel replaced.
 """
 from itertools import product
 
@@ -15,6 +16,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from randmcp import glm
+from randmcp.contrasts import optimal_contrast, shape_matrix
 from randmcp.glm import (
     DIVERGENCE_BOUND,
     FIRTH_MAX_HALVINGS,
@@ -354,3 +357,26 @@ def _multiset_permutations(counts):
                 counts[sym] += 1
 
     yield from rec()
+
+
+def population_statistic_reference(data, candidates):
+    """``(per_contrast, contrasts, corr)`` of the population test, shape by shape.
+
+    One ``optimal_contrast`` per candidate, stacked, a BLAS numerator,
+    and the correlation of the stacked contrasts under the fitted
+    covariance of the population-average arm means.
+    """
+    design = glm.design_from_assignments(data.arms, data.grid.k, data.covariates)
+    family = "binomial" if data.endpoint == "binary" else "gaussian"
+    fit = glm.fit_mle(design, data.outcomes, family=family)
+    avg = glm.population_average_means(fit, design)
+    mu0s, _ = shape_matrix(candidates, data.grid)
+    c = np.vstack([optimal_contrast(mu0, avg.covariance) for mu0 in mu0s])
+    num = c @ avg.mu
+    den = np.einsum("mk,kl,ml->m", c, avg.covariance, c)
+    t_vec = np.where(den > 0, num / np.sqrt(np.where(den > 0, den, 1.0)), 0.0)
+    cross = np.einsum("mk,kl,nl->mn", c, avg.covariance, c)
+    scale = np.sqrt(np.clip(np.diag(cross), 1e-300, None))
+    corr = cross / np.outer(scale, scale)
+    np.fill_diagonal(corr, 1.0)
+    return t_vec, c, corr

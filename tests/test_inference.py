@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 from scipy.stats import t as student_t
 
-from randmcp.contrasts import contrast_matrix
+from randmcp import inference
+from randmcp.contrasts import DegenerateShapeError, SingularCovarianceError, contrast_matrix
 from randmcp.data import TrialDataset
 from randmcp.dose_response import (
     CandidateModel,
@@ -17,11 +18,14 @@ from randmcp.dose_response import (
     default_candidate_set,
     eval_model,
     inverse_logit,
+    wide_range_candidate_set,
 )
 from randmcp.inference import (
+    METHOD_IDS,
     DegenerateVarianceError,
     _draw_valid_sequences,
     TestMethod,
+    analyze,
     exact_randomization_pvalue,
     fit_residual_model,
     glm_statistics_batch,
@@ -37,9 +41,11 @@ from randmcp.randomization import (
     sample_sequence,
     sample_sequences,
 )
+from randmcp.presets import load_preset
 from randmcp.rng import substream
+from randmcp.simulate import generate_binary_trial, synthetic_potential_table
 
-from oracles import enumerated, separation_lp
+from oracles import enumerated, population_statistic_reference, separation_lp
 
 GRID4 = DoseGrid(doses=(0.0, 10.0, 25.0, 100.0))
 GRID2 = DoseGrid(doses=(0.0, 100.0))
@@ -686,3 +692,115 @@ class TestPopulationTest:
         out = population_test(forced, default_candidate_set(), rng=substream(2, 3))
         assert out.diagnostics["fit_separation"] in ("quasicomplete", "complete")
         assert not out.diagnostics["fit_converged"]
+
+
+GRID5 = DoseGrid(doses=(0.0, 100.0, 200.0, 400.0, 1000.0))
+
+
+def preset_trial(preset, seed):
+    return generate_binary_trial(load_preset(preset), substream(71, seed))
+
+
+def replay_trial(seed, n=50):
+    """A continuous trial as a potential-outcome replay draws it, baseline as covariate."""
+    rng = substream(72, seed)
+    table = synthetic_potential_table(n, GRID5, rng).sorted_by_baseline()
+    spec = RandomizationSpec(procedure="ra", grid=GRID5, n=n, targets=(n // 5,) * 5)
+    arms = sample_sequence(spec, rng)
+    return toy_dataset(arms, table.outcomes[np.arange(n), arms], GRID5,
+                       covariates=table.baseline[:, None], endpoint="continuous")
+
+
+CORPUS = (
+    [("n49_pbd_notrend", default_candidate_set(), s) for s in range(12)]
+    + [("n490_cr_notrend", default_candidate_set(), s) for s in range(3)]
+    + [("n98_ra_trend", default_candidate_set(), s) for s in range(6)]
+    + [("replay", wide_range_candidate_set(1000.0), s) for s in range(12)]
+)
+
+
+def population_with_kernel_outputs(monkeypatch, data, candidates):
+    """``population_test``'s outcome plus the contrasts and correlation it used."""
+    seen = {}
+    kernel, reference = inference._contrast_statistics, inference.max_tail_probability
+
+    def kernel_spy(*args):
+        seen["t"], seen["contrasts"] = out = kernel(*args)
+        return out
+
+    def reference_spy(threshold, corr, **kwargs):
+        seen["corr"] = corr
+        return reference(threshold, corr, **kwargs)
+
+    monkeypatch.setattr(inference, "_contrast_statistics", kernel_spy)
+    monkeypatch.setattr(inference, "max_tail_probability", reference_spy)
+    out = population_test(data, candidates, rng=substream(73, 0))
+    return out, seen["contrasts"][0], seen["corr"]
+
+
+class TestPopulationSharesRefitKernel:
+    @pytest.mark.parametrize("source, candidates, seed", CORPUS,
+                             ids=[f"{src}-{seed}" for src, _, seed in CORPUS])
+    def test_matches_per_shape_reference(self, monkeypatch, source, candidates, seed):
+        data = replay_trial(seed) if source == "replay" else preset_trial(source, seed)
+        out, c, corr = population_with_kernel_outputs(monkeypatch, data, candidates)
+        t_ref, c_ref, corr_ref = population_statistic_reference(data, candidates)
+        assert np.array_equal(c, c_ref)
+        assert np.array_equal(corr, corr_ref)
+        assert np.all(np.abs(out.per_contrast - t_ref) <= 1e-12 * np.abs(t_ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 5),
+        per_arm=st.integers(2, 6),
+        endpoint=st.sampled_from(["binary", "continuous"]),
+        with_covariate=st.booleans(),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_equals_observed_refit_row(self, k, per_arm, endpoint, with_covariate, seed):
+        grid = DoseGrid(doses=(0.0, 10.0, 25.0, 60.0, 100.0)[:k])
+        rng = np.random.default_rng(seed)
+        n = k * per_arm
+        arms = rng.permutation(np.repeat(np.arange(k), per_arm))
+        x = rng.normal(size=(n, 1)) if with_covariate else None
+        if endpoint == "binary":
+            y = (rng.random(n) < 0.3 + 0.1 * arms).astype(float)
+        else:
+            y = rng.normal(size=n) + 0.3 * arms
+        data = toy_dataset(arms, y, grid, covariates=x, endpoint=endpoint)
+        candidates = wide_range_candidate_set(100.0)
+        try:
+            out = population_test(data, candidates, rng=substream(74, 0))
+        except SingularCovarianceError:
+            return  # a separated binary fit can leave no definite covariance
+        stats, t_matrix, _, _ = glm_statistics_batch(data, arms[None], candidates)
+        assert out.statistic == stats[0]
+        assert np.array_equal(out.per_contrast, t_matrix[0])
+
+
+class TestDegenerateInputsTyped:
+    CONSTANT_SHAPE = CandidateSet(models=(
+        CandidateModel(shape="linear", theta1=0.0, name="linear_zero"),
+        CandidateModel(shape="emax", theta2=10.0, name="emax"),
+    ))
+
+    @pytest.mark.parametrize("procedure", ["ra", "cr"])
+    @pytest.mark.parametrize("method_id", METHOD_IDS)
+    def test_constant_candidate_raises_for_every_method(self, method_id, procedure):
+        spec = (RandomizationSpec(procedure="ra", grid=GRID4, n=16, targets=(4, 4, 4, 4))
+                if procedure == "ra" else RandomizationSpec(procedure="cr", grid=GRID4, n=16))
+        rng = substream(75, 0)
+        arms = np.repeat(np.arange(4), 4)
+        y = np.tile([0.0, 1.0], 8)
+        data = toy_dataset(arms, y, GRID4, covariates=rng.normal(size=(16, 1)))
+        method = TestMethod(id=method_id, n_rand=20)
+        with pytest.raises(DegenerateShapeError, match="linear_zero"):
+            analyze(data, method, self.CONSTANT_SHAPE, spec=spec, rng=rng)
+
+    @pytest.mark.parametrize("outcome", ["constant", "noise_free"])
+    def test_population_singular_covariance_is_typed(self, outcome):
+        arms = np.repeat(np.arange(4), 4)
+        y = np.full(16, 3.0) if outcome == "constant" else arms.astype(float)
+        data = toy_dataset(arms, y, GRID4, endpoint="continuous")
+        with pytest.raises(SingularCovarianceError, match="not positive definite"):
+            population_test(data, default_candidate_set(), rng=substream(76, 0))

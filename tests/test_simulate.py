@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,17 @@ class TestTrialDataset:
         assert data.covariates.shape == (4, 0)
         assert data.n_covariates == 0
 
+    @pytest.mark.parametrize("arms, covariates, bad", [
+        (1, None, "arms"),
+        ([0, 1, 1, 0], 2.0, "covariates"),
+        ([0, 1, 1, 0], np.zeros((4, 1, 1)), "covariates"),
+    ])
+    def test_wrong_dimensions_rejected_naming_the_shape(self, arms, covariates, bad):
+        shape = np.shape(arms if bad == "arms" else covariates)
+        with pytest.raises(ValueError, match=rf"{bad} must .*shape {re.escape(str(shape))}"):
+            TrialDataset(arms=arms, outcomes=[0.0, 1.0, 1.0, 0.0], covariates=covariates,
+                         grid=GRID4)
+
 
 class TestTrialDiagnostics:
     @pytest.mark.parametrize("failing_arm, expected", [(None, "none"), (1, "quasicomplete")])
@@ -210,7 +222,9 @@ class TestGoldenResults:
     """p-values recorded before the power and replay loops were merged.
 
     The population entries were re-recorded for the spherical-radial
-    reference integral; every other method's values are the originals.
+    reference integral, and the replay's again when the population
+    statistic moved to the refit statistic's contrast kernel; every
+    other method's values are the originals.
     """
 
     def test_power_study(self):
@@ -246,10 +260,14 @@ class TestGoldenResults:
     def test_replay(self):
         res = replay_study()
         assert {mid: p.tolist() for mid, p in res.p_values.items()} == {
-            "population": [0.0004883164102616605, 0.00011895362397578116, 0.2543388144912676],
+            "population": [0.0004883164102616605, 0.00011895362397578072, 0.2543388144912677],
             "glm_mle": [0.0, 0.0, 0.22],
             "residual_mle": [0.0, 0.02, 0.18],
         }
+        # The per-shape population statistic gave these; the kernel moves
+        # the continuous statistic in its last bits only.
+        per_shape = [0.0004883164102616605, 0.00011895362397578116, 0.2543388144912676]
+        assert np.abs(res.p_values["population"] - per_shape).max() <= 1e-15
         assert_near_qmc_record(res.p_values["population"], "replay")
         assert res.separation == {}
 
