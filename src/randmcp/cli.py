@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .contrasts import contrast_matrix
+from .contrasts import contrast_matrix, shape_matrix
 from .data import read_trial_csv
 from .dose_response import DoseGrid, candidate_set_from_config, default_candidate_set
 from .inference import METHOD_IDS, TestMethod, analyze
@@ -127,6 +127,7 @@ def _cmd_simulate(args) -> int:
             config = replace(config, methods=tuple(
                 TestMethod(id=m, n_rand=config.n_rand) for m in args.methods.split(",")
             ))
+        shape_matrix(config.candidates, config.grid)  # a degenerate candidate is invalid input
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"simulate: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -279,6 +280,7 @@ def _cmd_analyze(args) -> int:
                             pvalue_rule=cfg.get("pvalue_rule", "plain"))
         data = read_trial_csv(args.data, grid=spec.grid,
                               endpoint=cfg.get("endpoint", "binary"))
+        shape_matrix(candidates, spec.grid)  # a degenerate candidate is invalid input
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"analyze: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

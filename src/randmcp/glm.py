@@ -26,6 +26,10 @@ SEPARATION_TOL = 1e-9
 # |coefficient| beyond this on the logit scale flags a batched refit as a
 # diverging estimate; the batched fits run no separation check.
 DIVERGENCE_BOUND = 12.0
+# Patient entries (rows x n) per row block of the batched fits.  A
+# block's (rows, n) temporaries take 512 KB, so the allocator reuses
+# them across Newton iterations instead of mapping fresh pages for each.
+BLOCK_ENTRIES = 65_536
 
 SEP_NONE = "none"
 SEP_QUASI = "quasicomplete"
@@ -508,8 +512,6 @@ class _BlockDesigns:
 
     def __init__(self, arms_matrix, k: int, covariates=None):
         arms = np.asarray(arms_matrix, dtype=np.intp)
-        if arms.ndim != 2:
-            raise ValueError("arm assignments must be a (B, n) matrix")
         if k and arms.size and (arms.min() < 0 or arms.max() >= k):
             raise ValueError(f"arm indices must lie in [0, {k})")
         self.arms, self.k = arms, k
@@ -598,8 +600,28 @@ def fit_mle_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> 
     performed.  A converged slice's covariance inverts the information
     of its last score test.
     """
-    designs = _BlockDesigns(arms_matrix, k, covariates)
+    return _fit_in_blocks(_irls_many, arms_matrix, k, covariates, y)
+
+
+def _fit_in_blocks(fit_block, arms_matrix, k: int, covariates, y) -> BatchFits:
+    """``fit_block(designs, y)`` on row blocks of at most :data:`BLOCK_ENTRIES`
+    patient entries, concatenated into one :class:`BatchFits`.
+
+    Every reduction of :class:`_BlockDesigns` is row-local, so a row's
+    fit does not depend on its block.
+    """
+    arms = np.asarray(arms_matrix, dtype=np.intp)
+    if arms.ndim != 2:
+        raise ValueError("arm assignments must be a (B, n) matrix")
+    rows = max(1, BLOCK_ENTRIES // max(arms.shape[1], 1))
     y = np.asarray(y, dtype=float)
+    parts = [fit_block(_BlockDesigns(arms[s:s + rows], k, covariates), y)
+             for s in range(0, max(arms.shape[0], 1), rows)]
+    return BatchFits(*(np.concatenate(col) for col in zip(*parts)))
+
+
+def _irls_many(designs: _BlockDesigns, y: np.ndarray):
+    """The IRLS loop of :func:`fit_mle_many` on one block of designs."""
     beta = np.zeros((designs.b, designs.p))
     covariances = np.empty((designs.b, designs.p, designs.p))
     active = np.arange(designs.b)
@@ -625,7 +647,7 @@ def fit_mle_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> 
     else:
         covariances[active] = _binomial_covariances(xa, beta[active])
     converged &= np.max(np.abs(beta), axis=1) <= DIVERGENCE_BOUND
-    return BatchFits(beta, covariances, converged, iterations)
+    return beta, covariances, converged, iterations
 
 
 def fit_firth_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> BatchFits:
@@ -636,10 +658,13 @@ def fit_firth_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -
     refits, whose separation certificates run through the dose
     indicators where the penalized surface is benign.
     """
-    designs = _BlockDesigns(arms_matrix, k, covariates)
+    return _fit_in_blocks(_firth_zero_start, arms_matrix, k, covariates, y)
+
+
+def _firth_zero_start(designs: _BlockDesigns, y: np.ndarray):
     beta, _, converged, iterations, covariances = _firth_newton_many(
-        designs, np.asarray(y, dtype=float), np.zeros((designs.b, designs.p)))
-    return BatchFits(beta, covariances, converged, iterations)
+        designs, y, np.zeros((designs.b, designs.p)))
+    return beta, covariances, converged, iterations
 
 
 def _firth_newton_many(designs: _BlockDesigns, y: np.ndarray, start: np.ndarray):
@@ -702,19 +727,19 @@ def fit_gaussian_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray
 
     Designs are as in :func:`fit_mle_many`.
     """
-    designs = _BlockDesigns(arms_matrix, k, covariates)
+    return _fit_in_blocks(_least_squares, arms_matrix, k, covariates, y)
+
+
+def _least_squares(designs: _BlockDesigns, y: np.ndarray):
     b, n, p = designs.b, designs.n, designs.p
-    y = np.broadcast_to(np.asarray(y, dtype=float), (b, n))
+    y = np.broadcast_to(y, (b, n))
     xtx = designs.xtwx(np.broadcast_to(1.0, (b, n)))
     beta = batch_solve(xtx, designs.xt(y))
     resid = y - designs.eta(beta)
     rss = np.einsum("bn,bn->b", resid, resid)
     sigma2 = rss / (n - p) if n > p else np.zeros(b)
     covariances = _batch_inv(xtx) * sigma2[:, None, None]
-    return BatchFits(
-        beta, covariances,
-        np.ones(b, dtype=bool), np.ones(b, dtype=int),
-    )
+    return beta, covariances, np.ones(b, dtype=bool), np.ones(b, dtype=int)
 
 
 def population_average_batch(coefficients, covariances, k: int, covariates=None):
@@ -735,20 +760,29 @@ def population_average_batch(coefficients, covariances, k: int, covariates=None)
 def _penalized_loglik_batch(designs: _BlockDesigns, y: np.ndarray, beta: np.ndarray):
     """``(loglik + 0.5 log|X'WX|, pi, w, X'WX)`` of every slice at ``beta``.
 
-    The log-determinant clamps w at 1e-300; the returned w and X'WX are
-    unclamped, as the Newton step and the covariance use them.
+    The returned w and X'WX are unclamped, as the Newton step and the
+    covariance use them; the log-determinant of a row with w below
+    1e-300 is taken from X'WX rebuilt with w clamped there.  The
+    log-likelihood's softplus(eta) = max(eta, 0) + log1p(exp(-|eta|))
+    runs numpy's SIMD exp and log1p in one buffer.
     """
     eta = designs.eta(beta)
     pi = expit(eta)
     w = pi * (1.0 - pi)
-    info = designs.xtwx(np.maximum(w, 1e-300))
+    info = designs.xtwx(w)
     sign, logdet = np.linalg.slogdet(info)
-    ll = np.sum(y[None, :] * eta - np.logaddexp(0.0, eta), axis=1)
-    out = ll + 0.5 * logdet
-    out[sign <= 0] = -np.inf
     clamped = np.any(w < 1e-300, axis=1)
     if np.any(clamped):
-        info[clamped] = designs.take(clamped).xtwx(w[clamped])
+        sign[clamped], logdet[clamped] = np.linalg.slogdet(
+            designs.take(clamped).xtwx(np.maximum(w[clamped], 1e-300)))
+    softplus = np.abs(eta)
+    np.negative(softplus, out=softplus)
+    np.exp(softplus, out=softplus)
+    np.log1p(softplus, out=softplus)
+    softplus += np.maximum(eta, 0.0)
+    ll = np.subtract(y[None, :] * eta, softplus, out=softplus).sum(axis=1)
+    out = ll + 0.5 * logdet
+    out[sign <= 0] = -np.inf
     return out, pi, w, info
 
 

@@ -190,6 +190,16 @@ class TestSimulateCommand:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_constant_candidate_exits_2(self, tiny_scenario, tmp_path, capsys):
+        config = json.loads(tiny_scenario.read_text())
+        config["candidates"] = [{"shape": "emax", "name": "emax", "theta2": 25.0},
+                                {"shape": "linear", "name": "flat_line", "theta1": 0.0}]
+        tiny_scenario.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", str(tiny_scenario),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert "flat_line" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_preset_and_config_mutually_exclusive(self, tiny_scenario, tmp_path):
         assert run_cli("simulate", "--preset", "n49_pbd_notrend",
                        "--config", str(tiny_scenario), "--out", str(tmp_path / "o")) == 2
@@ -256,6 +266,20 @@ class TestAnalyzeCommand:
         )
         assert run_cli("analyze", "--data", str(trial),
                        "--config", str(two_arm_config)) == 2
+
+    @pytest.mark.parametrize("method", ["population", "glm_mle", "residual_mle",
+                                        "glm_firth", "residual_firth"])
+    def test_constant_candidate_exits_2(self, two_arm_config, tmp_path, capsys, method):
+        config = json.loads(two_arm_config.read_text())
+        config["candidates"].append({"shape": "linear", "name": "flat_line", "theta1": 0.0})
+        two_arm_config.write_text(json.dumps(config))
+        trial = tmp_path / "trial.csv"
+        write_two_arm_trial(trial, [1, 0, 1, 1, 0, 1, 0, 0])
+        out = tmp_path / "res.json"
+        assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config),
+                       "--method", method, "--out", str(out)) == 2
+        assert "flat_line" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_exits_2(self, two_arm_config, tmp_path):
         trial = tmp_path / "trial.csv"

@@ -573,6 +573,15 @@ def kernel_problem(rng, k, q, n, b, outcome):
     return arms, k, z, y.astype(float)
 
 
+def seeded_corpus():
+    """60 seeded kernel problems, cycling through the outcome kinds."""
+    rng = np.random.default_rng(31)
+    for i in range(60):
+        k, q = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+        n, b = int(rng.integers(max(6, 3 * (k + q)), 50)), int(rng.integers(1, 9))
+        yield kernel_problem(rng, k, q, n, b, OUTCOMES[i % len(OUTCOMES)])
+
+
 @st.composite
 def kernel_problems(draw):
     k = draw(st.integers(1, 5))
@@ -611,7 +620,6 @@ class TestKernelsMatchReferenceLoops:
     def test_seeded_corpus_reaches_every_branch(self):
         """Halvings, the w clamp, the iteration caps and all three
         separation codes occur in this corpus, so the comparison covers them."""
-        rng = np.random.default_rng(31)
         seen = {"halvings": 0, "clamped": 0, "firth_cap": 0, "codes": set()}
         penalized = glm._penalized_loglik_batch
 
@@ -620,16 +628,13 @@ class TestKernelsMatchReferenceLoops:
             seen["clamped"] += int(np.sum(np.any(out[2] < 1e-300, axis=1)))
             return out
 
-        for i in range(60):
-            k, q = int(rng.integers(1, 6)), int(rng.integers(0, 3))
-            n, b = int(rng.integers(max(6, 3 * (k + q)), 50)), int(rng.integers(1, 9))
-            arms, k, z, y = kernel_problem(rng, k, q, n, b, OUTCOMES[i % len(OUTCOMES)])
+        for arms, k, z, y in seeded_corpus():
             with mock.patch.object(glm, "_penalized_loglik_batch", side_effect=spy) as calls:
                 fits = self.assert_matches_references(arms, k, z, y)
             # One call per step plus the start; the rest are halving rounds.
             seen["halvings"] += calls.call_count - 1 - int(fits.iterations.max())
             seen["firth_cap"] += int(np.sum(fits.iterations == glm.FIRTH_MAX_ITER))
-            if q <= 1:
+            if z.shape[1] <= 1:
                 seen["codes"].update(separation_batch(arms, y, z, k).tolist())
         assert seen["halvings"] > 0 and seen["clamped"] > 0 and seen["firth_cap"] > 0
         assert seen["codes"] == {0, 1, 2}
@@ -649,3 +654,87 @@ class TestKernelsMatchReferenceLoops:
         assert np.array_equal(w, pi * (1.0 - pi))
         assert np.array_equal(info, designs.xtwx(w))
         assert info[0, 2, 2] == 0.0
+
+
+class TestRowBlocks:
+    """The batched binomial fits give the same bits in row blocks of any
+    size, and each call enters its public kernel once."""
+
+    KERNELS = (("fit_mle_many", "_irls_many"), ("fit_firth_many", "_firth_zero_start"))
+
+    @classmethod
+    def assert_block_invariant(cls, arms, k, z, y):
+        b, n = arms.shape
+        for public, block in cls.KERNELS:
+            whole = getattr(glm, public)(arms, k, z, y)
+            for rows in sorted({1, 3, max(b - 1, 1)}):
+                with mock.patch.object(glm, "BLOCK_ENTRIES", rows * n), \
+                        mock.patch.object(glm, public, wraps=getattr(glm, public)) as entered, \
+                        mock.patch.object(glm, block, wraps=getattr(glm, block)) as blocks:
+                    fits = entered(arms, k, z, y)
+                assert entered.call_count == 1
+                assert blocks.call_count == max(1, -(-b // rows))
+                for field in ("coefficients", "covariances", "converged", "iterations"):
+                    assert np.array_equal(getattr(fits, field), getattr(whole, field)), \
+                        (public, rows, field)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=kernel_problems())
+    def test_fuzzed_designs(self, problem):
+        self.assert_block_invariant(*problem)
+
+    def test_seeded_corpus(self):
+        # The corpus reaches halvings, clamped weights and the iteration
+        # caps (TestKernelsMatchReferenceLoops checks that it does).
+        for problem in seeded_corpus():
+            self.assert_block_invariant(*problem)
+
+    def test_empty_batch(self):
+        self.assert_block_invariant(np.zeros((0, 10), dtype=int), 2, np.arange(10.0),
+                                    np.arange(10) % 2.0)
+
+    def test_batch_within_one_block_is_fitted_whole(self):
+        rng = np.random.default_rng(5)
+        arms, k, z, y = kernel_problem(rng, 3, 1, 40, 6, "random")
+        for public, block in self.KERNELS:
+            with mock.patch.object(glm, block, wraps=getattr(glm, block)) as blocks:
+                getattr(glm, public)(arms, k, z, y)
+            assert blocks.call_count == 1
+            assert blocks.call_args.args[0].b == 6
+
+
+class TestSoftplusLikelihood:
+    """The penalized likelihood's SIMD softplus stays within a few ulps per
+    patient of the reference's ``np.logaddexp``."""
+
+    ETAS = np.array([0.0, 1e-300, -1e-300, 36.0, -36.0, 40.0, -40.0,
+                     710.0, -710.0, 800.0, -800.0])
+
+    @staticmethod
+    def assert_near_reference(designs, y, beta):
+        pen, _, w, _ = glm._penalized_loglik_batch(designs, y, beta)
+        ref = penalized_loglik_reference(designs, y, beta)
+        assert np.all(np.isfinite(pen)) and np.all(np.isfinite(ref))
+        tolerance = 4 * designs.n * np.finfo(float).eps * (1.0 + np.abs(ref))
+        assert np.all(np.abs(pen - ref) <= tolerance)
+        return np.any(w < 1e-300, axis=1)
+
+    def test_extreme_predictors(self):
+        # Arm j holds one success and one failure at eta = beta[j]; the
+        # covariate's coefficient is 0, so it only fills X'WX's cross terms.
+        k = self.ETAS.size
+        arms = np.tile(np.repeat(np.arange(k), 2), (4, 1))
+        z = np.tile([0.5, -0.5], k)
+        y = np.tile([1.0, 0.0], k)
+        designs = glm._BlockDesigns(arms, k, z)
+        etas = np.stack([self.ETAS, self.ETAS[::-1], np.clip(self.ETAS, -36.0, 36.0),
+                         np.zeros(k)])
+        beta = np.hstack([etas, np.zeros((4, 1))])
+        clamped = self.assert_near_reference(designs, y, beta)
+        assert clamped.tolist() == [True, True, False, False]
+
+    def test_random_predictors(self):
+        rng = np.random.default_rng(8)
+        arms, k, z, y = kernel_problem(rng, 4, 1, 45, 50, "random")
+        beta = rng.normal(scale=[[20.0] * 4 + [2.0]], size=(50, 5))
+        self.assert_near_reference(glm._BlockDesigns(arms, k, z), y, beta)
