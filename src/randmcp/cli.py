@@ -17,6 +17,7 @@ import csv
 import hashlib
 import json
 import logging
+import os
 import sys
 from dataclasses import replace
 from importlib.metadata import version as _pkg_version
@@ -47,7 +48,7 @@ from .simulate import (
     scenario_to_dict,
     spec_from_dict,
 )
-from .glm import SEP_NONE, SEP_UNCHECKED
+from .glm import SEP_NONE, SEP_UNCHECKED, available_cpus
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -77,13 +78,22 @@ def _version() -> str:
         return "unknown"
 
 
-def _default_workers() -> int:
-    import os
+def _worker_count(requested: int | None) -> int:
+    """``--workers``, else $RANDMCP_WORKERS, else the CPUs this process may use.
 
-    env = os.environ.get("RANDMCP_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    Raises ValueError for a count below 1 or a non-integer variable.
+    """
+    if requested is None:
+        env = os.environ.get("RANDMCP_WORKERS")
+        if not env:
+            return available_cpus()
+        try:
+            requested = int(env)
+        except ValueError:
+            raise ValueError(f"RANDMCP_WORKERS must be an integer, not {env!r}") from None
+    if requested < 1:
+        raise ValueError(f"the worker count must be at least 1, not {requested}")
+    return requested
 
 
 def _load_json(path: str) -> dict:
@@ -128,12 +138,12 @@ def _cmd_simulate(args) -> int:
                 TestMethod(id=m, n_rand=config.n_rand) for m in args.methods.split(",")
             ))
         shape_matrix(config.candidates, config.grid)  # a degenerate candidate is invalid input
+        workers = _worker_count(args.workers)
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"simulate: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
     payload = scenario_to_dict(config)
-    workers = args.workers or _default_workers()
     with _progress_to_stderr(args.progress):
         block = run_table_block(config, workers=workers, progress=args.progress)
     rows = block.rows()
@@ -193,6 +203,7 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
         methods = tuple(_method_from_entry(m, n_rand) for m in method_ids)
         name = cfg.get("name", "potential_outcomes")
         alpha = float(cfg.get("alpha", 0.05))
+        workers = _worker_count(args.workers)
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"simulate: invalid potential-outcomes configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -203,7 +214,7 @@ def _simulate_potential_outcomes(cfg: dict, args) -> int:
                 table, spec, methods, candidates, alpha=alpha, n_sim=n_sim, seed=seed,
                 include_baseline_covariate=bool(cfg.get("include_baseline_covariate", True)),
                 sort_by_baseline=bool(cfg.get("sort_by_baseline", False)),
-                name=name, workers=args.workers or _default_workers(),
+                name=name, workers=workers,
                 progress=args.progress,
             )
     except ValueError as exc:
@@ -449,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--rand", type=int, help="override n_rand")
     sim.add_argument("--methods", help="comma-separated method ids to run")
     sim.add_argument("--workers", type=int, default=None,
-                     help="worker processes (default: $RANDMCP_WORKERS or the CPU count)")
+                     help="worker processes, at least 1 (default: $RANDMCP_WORKERS, "
+                          "else the CPUs this process may run on)")
     sim.add_argument("--progress", type=int, default=None,
                      help="log progress every N trials to stderr")
     sim.set_defaults(func=_cmd_simulate)

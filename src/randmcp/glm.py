@@ -10,6 +10,11 @@ one.
 """
 from __future__ import annotations
 
+import contextvars
+import itertools
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +32,11 @@ SEPARATION_TOL = 1e-9
 # diverging estimate; the batched fits run no separation check.
 DIVERGENCE_BOUND = 12.0
 # Patient entries (rows x n) per row block of the batched fits.  A
-# block's (rows, n) temporaries take 512 KB, so the allocator reuses
-# them across Newton iterations instead of mapping fresh pages for each.
+# block's (rows, n) temporaries take 512 KB each, so the allocator
+# reuses them across Newton iterations instead of mapping fresh pages
+# for each.  A batch of two or more blocks is fitted on every available
+# CPU, one block per thread at a time; a Firth block in flight peaks at
+# about five such temporaries (2.6 MB).
 BLOCK_ENTRIES = 65_536
 
 SEP_NONE = "none"
@@ -578,8 +586,11 @@ class _BlockDesigns:
         if k:
             quad += self._gather(np.diagonal(inv[:, :k, :k], axis1=1, axis2=2))
             for j in range(self.q):
-                quad += self._gather(inv[:, :k, k + j] + inv[:, k + j, :k]) * self.z[:, j]
-        return w * quad
+                cross = self._gather(inv[:, :k, k + j] + inv[:, k + j, :k])
+                cross *= self.z[:, j]
+                quad += cross
+        quad *= w
+        return quad
 
 
 def _binomial_covariances(designs: _BlockDesigns, beta: np.ndarray) -> np.ndarray:
@@ -603,20 +614,65 @@ def fit_mle_many(arms_matrix: np.ndarray, k: int, covariates, y: np.ndarray) -> 
     return _fit_in_blocks(_irls_many, arms_matrix, k, covariates, y)
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _block_helpers(blocks: int) -> int:
+    """Helper threads for a batch of ``blocks`` row blocks.
+
+    None for a single block or inside a ``multiprocessing`` child, whose
+    parent already spreads the work over the CPUs.
+    """
+    if blocks < 2 or multiprocessing.parent_process() is not None:
+        return 0
+    return min(available_cpus(), blocks) - 1
+
+
 def _fit_in_blocks(fit_block, arms_matrix, k: int, covariates, y) -> BatchFits:
     """``fit_block(designs, y)`` on row blocks of at most :data:`BLOCK_ENTRIES`
     patient entries, concatenated into one :class:`BatchFits`.
 
     Every reduction of :class:`_BlockDesigns` is row-local, so a row's
-    fit does not depend on its block.
+    fit does not depend on its block, nor on the thread that fits it.
+    The calling thread and :func:`_block_helpers` helper threads take
+    block indices from one counter; each helper runs in a copy of the
+    caller's context (numpy's ``errstate`` included) and is joined
+    before the parts are concatenated in row order.  A failed block
+    stops further claims, and the lowest failed block's exception is
+    raised, as the serial loop would.
     """
     arms = np.asarray(arms_matrix, dtype=np.intp)
     if arms.ndim != 2:
         raise ValueError("arm assignments must be a (B, n) matrix")
     rows = max(1, BLOCK_ENTRIES // max(arms.shape[1], 1))
     y = np.asarray(y, dtype=float)
-    parts = [fit_block(_BlockDesigns(arms[s:s + rows], k, covariates), y)
-             for s in range(0, max(arms.shape[0], 1), rows)]
+    starts = range(0, max(arms.shape[0], 1), rows)
+    parts: list = [None] * len(starts)
+    failures: list = []
+    claim = itertools.count().__next__  # one atomic step under the GIL
+
+    def fit_claimed_blocks():
+        while not failures and (i := claim()) < len(starts):
+            try:
+                designs = _BlockDesigns(arms[starts[i]:starts[i] + rows], k, covariates)
+                parts[i] = fit_block(designs, y)
+            except BaseException as exc:  # re-raised by the caller below
+                failures.append((i, exc))
+
+    helpers = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(fit_claimed_blocks,))
+               for _ in range(_block_helpers(len(starts)))]
+    for helper in helpers:
+        helper.start()
+    fit_claimed_blocks()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
     return BatchFits(*(np.concatenate(col) for col in zip(*parts)))
 
 
@@ -686,8 +742,13 @@ def _firth_newton_many(designs: _BlockDesigns, y: np.ndarray, start: np.ndarray)
     for _ in range(FIRTH_MAX_ITER):
         ba = beta[active]
         inv = _batch_inv(info)
-        hat = xa.hat(w, inv)
-        u_star = xa.xt(y[None, :] - pi + hat * (0.5 - pi))
+        # h (0.5 - pi) + (y - pi) in the hat values' buffer; pi and w are
+        # dropped before the likelihood below builds the next ones.
+        modified = xa.hat(w, inv)
+        modified *= 0.5 - pi
+        modified += y - pi
+        u_star = xa.xt(modified)
+        del modified, pi, w
         done = np.linalg.norm(u_star, axis=1) < SCORE_TOL
         if np.any(done):
             converged[active[done]] = True
@@ -768,7 +829,8 @@ def _penalized_loglik_batch(designs: _BlockDesigns, y: np.ndarray, beta: np.ndar
     """
     eta = designs.eta(beta)
     pi = expit(eta)
-    w = pi * (1.0 - pi)
+    w = np.subtract(1.0, pi)
+    w *= pi
     info = designs.xtwx(w)
     sign, logdet = np.linalg.slogdet(info)
     clamped = np.any(w < 1e-300, axis=1)
@@ -780,7 +842,8 @@ def _penalized_loglik_batch(designs: _BlockDesigns, y: np.ndarray, beta: np.ndar
     np.exp(softplus, out=softplus)
     np.log1p(softplus, out=softplus)
     softplus += np.maximum(eta, 0.0)
-    ll = np.subtract(y[None, :] * eta, softplus, out=softplus).sum(axis=1)
+    eta *= y
+    ll = np.subtract(eta, softplus, out=softplus).sum(axis=1)
     out = ll + 0.5 * logdet
     out[sign <= 0] = -np.inf
     return out, pi, w, info

@@ -352,6 +352,8 @@ def _randomization_statistic(
             )
         return evaluate, labels, 2, fit, diagnostics
 
+    # A refit of a rank-deficient design has no unique coefficients.
+    glm._check_rank(glm.design_from_assignments(data.arms, data.grid.k, data.covariates))
     _, labels = shape_matrix(candidates, data.grid)
 
     def evaluate(arms_matrix):

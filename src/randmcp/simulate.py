@@ -286,7 +286,7 @@ def _trial_range(study: _Study, lo: int, hi: int, progress=None) -> list[tuple[d
 
 
 def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
-    per = -(-n // max(workers, 1))
+    per = -(-n // workers)
     return [(lo, min(lo + per, n)) for lo in range(0, n, per)]
 
 
@@ -294,13 +294,16 @@ def _run_study(study: _Study, workers: int, progress, **fields) -> StudyResult:
     """Run every trial of a study and summarize each method.
 
     Per-trial RNG substreams make the result identical for any worker
-    count; chunks are merged back in trial order.  ``progress`` logs
-    every that many trials on one worker, and each finished chunk on
-    several.  ``fields`` fill the rest of the :class:`StudyResult`.
+    count (at least 1); chunks are merged back in trial order.
+    ``progress`` logs every that many trials on one worker, and each
+    finished chunk on several.  ``fields`` fill the rest of the
+    :class:`StudyResult`.
     """
     n = study.n_sim
     if n < 1:
         raise ValueError("n_sim must be positive")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, not {workers}")
     if not 0.0 < study.alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if workers > 1 and n > 1:
@@ -350,8 +353,9 @@ def _run_study(study: _Study, workers: int, progress, **fields) -> StudyResult:
 def run_power_study(config: ScenarioConfig, workers: int = 1, progress=None) -> StudyResult:
     """Simulate ``n_sim`` trials and tabulate each method's rejection rate.
 
-    The result is identical for any worker count.  Progress goes to the
-    ``randmcp.simulate`` logger at INFO level.
+    The result is identical for any worker count; a count below 1 raises
+    ValueError.  Progress goes to the ``randmcp.simulate`` logger at INFO
+    level.
     """
     study = _Study(config.name, _BinaryTrials(config), config.spec, config.methods,
                    config.candidates, config.seed, config.n_sim, config.alpha)
@@ -418,7 +422,7 @@ def simulate_from_potential_outcomes(
     reveals the outcome of patient i under their assigned dose.  With
     ``sort_by_baseline`` the rows are enrolled in increasing baseline
     order, which acts as a systematic time trend.  Raises ValueError
-    unless ``n_sim >= 1`` and ``0 < alpha < 1``.
+    unless ``n_sim >= 1``, ``0 < alpha < 1`` and ``workers >= 1``.
     """
     if table.n != spec.n:
         raise ValueError(f"table has {table.n} rows but the procedure expects {spec.n}")

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randmcp import simulate
+from randmcp import cli, simulate
 from randmcp.cli import main
 from randmcp.data import TrialDataset, write_potential_outcomes_csv, write_trial_csv
 from randmcp.dose_response import DoseGrid
@@ -199,6 +199,32 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "o"), "--workers", "1") == 2
         assert "flat_line" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("replay", [False, True])
+    @pytest.mark.parametrize("argv, env, message", [
+        (["--workers", "0"], None, "at least 1, not 0"),
+        (["--workers", "-3"], None, "at least 1, not -3"),
+        ([], "0", "at least 1, not 0"),
+        ([], "abc", "RANDMCP_WORKERS must be an integer, not 'abc'"),
+    ])
+    def test_bad_worker_count_exits_2(self, tiny_scenario, replay_config, tmp_path, capsys,
+                                      monkeypatch, replay, argv, env, message):
+        monkeypatch.delenv("RANDMCP_WORKERS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("RANDMCP_WORKERS", env)
+        config = replay_config() if replay else tiny_scenario
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                       *argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("RANDMCP_WORKERS", raising=False)
+        monkeypatch.setattr(cli, "available_cpus", lambda: 3)
+        assert cli._worker_count(None) == 3
+        monkeypatch.setenv("RANDMCP_WORKERS", "2")
+        assert cli._worker_count(None) == 2
+        assert cli._worker_count(5) == 5
 
     def test_preset_and_config_mutually_exclusive(self, tiny_scenario, tmp_path):
         assert run_cli("simulate", "--preset", "n49_pbd_notrend",

@@ -1,3 +1,6 @@
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -656,11 +659,45 @@ class TestKernelsMatchReferenceLoops:
         assert info[0, 2, 2] == 0.0
 
 
-class TestRowBlocks:
-    """The batched binomial fits give the same bits in row blocks of any
-    size, and each call enters its public kernel once."""
+class TestAvailableCpus:
+    def test_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(glm.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(glm.os, "cpu_count", lambda: 64)
+        assert glm.available_cpus() == 2
 
-    KERNELS = (("fit_mle_many", "_irls_many"), ("fit_firth_many", "_firth_zero_start"))
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(glm.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(glm.os, "cpu_count", lambda: None)
+        assert glm.available_cpus() == 1
+        monkeypatch.setattr(glm.os, "cpu_count", lambda: 5)
+        assert glm.available_cpus() == 5
+
+
+def fit_in_pool_child(arms, k, z, y):
+    """Fit ``arms`` one row per block with 3 CPUs claimed, where starting
+    a thread fails; returns the fits and the helper count."""
+    with mock.patch.object(glm, "available_cpus", return_value=3), \
+            mock.patch.object(glm, "BLOCK_ENTRIES", arms.shape[1]), \
+            mock.patch.object(glm.threading, "Thread", side_effect=AssertionError):
+        return glm.fit_firth_many(arms, k, z, y), glm._block_helpers(arms.shape[0])
+
+
+class TestRowBlocks:
+    """The batched fits give the same bits in row blocks of any size,
+    fitted on any number of threads, and each call enters its public
+    kernel once."""
+
+    KERNELS = (("fit_mle_many", "_irls_many"), ("fit_firth_many", "_firth_zero_start"),
+               ("fit_gaussian_many", "_least_squares"))
+
+    @staticmethod
+    def block_spy(fit_block, seen):
+        """``fit_block`` that records each block's row count and thread;
+        ``list.append`` is atomic, where a Mock's call count is not."""
+        def spy(designs, y):
+            seen.append((designs.b, threading.current_thread()))
+            return fit_block(designs, y)
+        return spy
 
     @classmethod
     def assert_block_invariant(cls, arms, k, z, y):
@@ -668,15 +705,21 @@ class TestRowBlocks:
         for public, block in cls.KERNELS:
             whole = getattr(glm, public)(arms, k, z, y)
             for rows in sorted({1, 3, max(b - 1, 1)}):
-                with mock.patch.object(glm, "BLOCK_ENTRIES", rows * n), \
-                        mock.patch.object(glm, public, wraps=getattr(glm, public)) as entered, \
-                        mock.patch.object(glm, block, wraps=getattr(glm, block)) as blocks:
-                    fits = entered(arms, k, z, y)
-                assert entered.call_count == 1
-                assert blocks.call_count == max(1, -(-b // rows))
-                for field in ("coefficients", "covariances", "converged", "iterations"):
-                    assert np.array_equal(getattr(fits, field), getattr(whole, field)), \
-                        (public, rows, field)
+                for cpus in (1, 2, 3):
+                    seen = []
+                    with mock.patch.object(glm, "BLOCK_ENTRIES", rows * n), \
+                            mock.patch.object(glm, "available_cpus", return_value=cpus), \
+                            mock.patch.object(glm, public, wraps=getattr(glm, public)) as entered, \
+                            mock.patch.object(glm, block, cls.block_spy(getattr(glm, block), seen)):
+                        fits = entered(arms, k, z, y)
+                    assert entered.call_count == 1
+                    blocks = max(1, -(-b // rows))
+                    assert len(seen) == blocks
+                    assert sum(size for size, _ in seen) == b
+                    assert len({thread for _, thread in seen}) <= min(cpus, blocks)
+                    for field in ("coefficients", "covariances", "converged", "iterations"):
+                        assert np.array_equal(getattr(fits, field), getattr(whole, field)), \
+                            (public, rows, cpus, field)
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(problem=kernel_problems())
@@ -697,10 +740,118 @@ class TestRowBlocks:
         rng = np.random.default_rng(5)
         arms, k, z, y = kernel_problem(rng, 3, 1, 40, 6, "random")
         for public, block in self.KERNELS:
-            with mock.patch.object(glm, block, wraps=getattr(glm, block)) as blocks:
+            seen = []
+            with mock.patch.object(glm, "available_cpus", return_value=3), \
+                    mock.patch.object(glm, block, self.block_spy(getattr(glm, block), seen)):
                 getattr(glm, public)(arms, k, z, y)
-            assert blocks.call_count == 1
-            assert blocks.call_args.args[0].b == 6
+            assert seen == [(6, threading.main_thread())]
+
+    @staticmethod
+    def multi_block_problem():
+        """Seven rows of 30 patients and a block size of 2 rows: 4 blocks."""
+        arms, k, z, y = kernel_problem(np.random.default_rng(6), 3, 1, 30, 7, "random")
+        return (arms, k, z, y), mock.patch.object(glm, "BLOCK_ENTRIES", 60)
+
+    def test_blocks_run_on_helper_threads_that_end_with_the_call(self):
+        problem, two_rows = self.multi_block_problem()
+        before = threading.active_count()
+        seen = []
+        with two_rows, mock.patch.object(glm, "available_cpus", return_value=3), \
+                mock.patch.object(glm, "_firth_zero_start",
+                                  self.block_spy(glm._firth_zero_start, seen)), \
+                mock.patch.object(glm.threading, "Thread", wraps=threading.Thread) as started:
+            glm.fit_firth_many(*problem)
+            assert threading.active_count() == before
+        assert started.call_count == 2
+        assert len(seen) == 4 and threading.main_thread() in {t for _, t in seen}
+
+    def test_callers_errstate_holds_in_every_block(self):
+        problem, two_rows = self.multi_block_problem()
+        seen, states = [], []
+        fit_block = glm._firth_zero_start
+
+        def record_errstate(designs, y):
+            states.append(np.geterr())
+            return fit_block(designs, y)
+
+        with two_rows, mock.patch.object(glm, "available_cpus", return_value=2), \
+                mock.patch.object(glm, "_firth_zero_start",
+                                  self.block_spy(record_errstate, seen)), \
+                np.errstate(all="raise"):
+            glm.fit_firth_many(*problem)
+        assert len(states) == 4
+        assert all(state == dict.fromkeys(state, "raise") for state in states)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_lowest_failed_block_raises_after_helpers_end(self, cpus):
+        # Blocks from row 2 on fail.  On threads the row-2 block waits
+        # until the row-4 block has failed, so the failures arrive out of
+        # block order; the serial loop stops at row 2.
+        problem, two_rows = self.multi_block_problem()
+        arms = problem[0]
+        before = threading.active_count()
+        fit_block = glm._irls_many
+        row_four_failed = threading.Event()
+
+        def fail_from_row_two(designs, y):
+            start = next(i for i, row in enumerate(arms) if np.array_equal(row, designs.arms[0]))
+            if start == 2 and cpus > 1:
+                row_four_failed.wait(timeout=60)
+            if start == 4:
+                row_four_failed.set()
+            if start >= 2:
+                raise FloatingPointError(f"block at row {start}")
+            return fit_block(designs, y)
+
+        with two_rows, mock.patch.object(glm, "available_cpus", return_value=cpus), \
+                mock.patch.object(glm, "_irls_many", fail_from_row_two), \
+                pytest.raises(FloatingPointError, match="block at row 2$"):
+            glm.fit_mle_many(*problem)
+        assert row_four_failed.is_set() == (cpus > 1)
+        assert threading.active_count() == before
+
+    def test_every_block_fitted_once_under_contention(self):
+        # More threads than cores, a 1 us switch interval and 729 one-row
+        # blocks whose stand-in fit is near free: a lost update of the
+        # block counter would fit a block twice or skip one.  Row r holds
+        # the base-3 digits of r, and its stand-in coefficient is r.
+        b, n = 729, 6
+        arms = (np.arange(b)[:, None] // 3 ** np.arange(n)) % 3
+        seen, result = [], []
+
+        def fit_rows(designs, y):
+            start = int(designs.arms[0] @ 3 ** np.arange(n))
+            seen.append(start)
+            rows, p = designs.b, designs.p
+            return (np.full((rows, p), float(start)), np.zeros((rows, p, p)),
+                    np.ones(rows, dtype=bool), np.zeros(rows, dtype=int))
+
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            with mock.patch.object(glm, "available_cpus", return_value=6), \
+                    mock.patch.object(glm, "BLOCK_ENTRIES", n), \
+                    mock.patch.object(glm, "_firth_zero_start", fit_rows):
+                caller = threading.Thread(target=lambda: result.append(
+                    glm.fit_firth_many(arms, 3, None, np.zeros(n))))
+                caller.start()
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive() and len(result) == 1
+        assert sorted(seen) == list(range(b))
+        assert np.array_equal(result[0].coefficients[:, 0], np.arange(b))
+
+    def test_pool_child_fits_serially(self):
+        arms, k, z, y = kernel_problem(np.random.default_rng(7), 3, 1, 30, 5, "random")
+        with mock.patch.object(glm, "available_cpus", return_value=3), \
+                mock.patch.object(glm, "BLOCK_ENTRIES", 30):
+            threaded = glm.fit_firth_many(arms, k, z, y)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            serial, helpers = pool.submit(fit_in_pool_child, arms, k, z, y).result(timeout=120)
+        assert helpers == 0
+        for field in ("coefficients", "covariances", "converged", "iterations"):
+            assert np.array_equal(getattr(serial, field), getattr(threaded, field)), field
 
 
 class TestSoftplusLikelihood:

@@ -35,7 +35,7 @@ from randmcp.inference import (
     residual_statistics_batch,
     shape_matrix,
 )
-from randmcp.glm import design_from_assignments
+from randmcp.glm import RankDeficientDesignError, design_from_assignments
 from randmcp.randomization import (
     RandomizationSpec,
     sample_sequence,
@@ -796,6 +796,24 @@ class TestDegenerateInputsTyped:
         method = TestMethod(id=method_id, n_rand=20)
         with pytest.raises(DegenerateShapeError, match="linear_zero"):
             analyze(data, method, self.CONSTANT_SHAPE, spec=spec, rng=rng)
+
+    @pytest.mark.parametrize("method_id", METHOD_IDS)
+    def test_constant_covariate_raises_for_every_method(self, method_id):
+        # The covariate duplicates the sum of the dose indicators.
+        spec = RandomizationSpec(procedure="ra", grid=GRID4, n=16, targets=(4, 4, 4, 4))
+        data = toy_dataset(np.repeat(np.arange(4), 4), np.tile([0.0, 1.0], 8), GRID4,
+                           covariates=np.ones((16, 1)))
+        with pytest.raises(RankDeficientDesignError, match="rank deficient"):
+            analyze(data, TestMethod(id=method_id, n_rand=100), default_candidate_set(),
+                    spec=spec, rng=substream(77, 0))
+
+    @pytest.mark.parametrize("method_id", ["glm_mle", "glm_firth"])
+    def test_exact_refit_raises_on_constant_covariate(self, method_id):
+        spec = RandomizationSpec(procedure="ra", grid=GRID2, n=8, targets=(4, 4))
+        data = toy_dataset([0, 1] * 4, np.tile([0.0, 1.0, 1.0, 0.0], 2), GRID2,
+                           covariates=np.full((8, 1), 2.5))
+        with pytest.raises(RankDeficientDesignError, match="rank deficient"):
+            exact_randomization_pvalue(data, spec, TestMethod(id=method_id), LINEAR_ONLY)
 
     @pytest.mark.parametrize("outcome", ["constant", "noise_free"])
     def test_population_singular_covariance_is_typed(self, outcome):

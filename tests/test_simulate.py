@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from randmcp import glm
 from randmcp.data import PotentialOutcomeTable, TrialDataset
 from randmcp.dose_response import DoseGrid, default_candidate_set, wide_range_candidate_set
 from randmcp.glm import SEP_NAMES, design_from_assignments
@@ -156,6 +157,28 @@ class TestPowerStudy:
         for mid in seq.p_values:
             assert np.array_equal(seq.p_values[mid], par.p_values[mid])
         assert seq.separation == par.separation
+
+    def test_worker_count_does_not_change_multi_block_results(self, monkeypatch):
+        # 151 refits of 490 patients span two row blocks: one worker fits
+        # them on two threads in this process, two workers fit them serially.
+        monkeypatch.setattr(glm, "available_cpus", lambda: 2)
+        config = replace(load_preset("n490_cr_notrend"), n_rand=150, n_sim=2)
+        assert 151 * 490 > glm.BLOCK_ENTRIES
+        seq = run_table_block(config, workers=1)
+        par = run_table_block(config, workers=2)
+        assert seq.rows() == par.rows()
+        for one, two in ((seq.null, par.null), (seq.alternative, par.alternative)):
+            for mid in one.p_values:
+                assert np.array_equal(one.p_values[mid], two.p_values[mid]), mid
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        config = trial_config(n_sim=2)
+        for study in (run_power_study, run_table_block):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                study(config, workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            replay_study(workers=workers)
 
     def test_same_seed_reproduces_exactly(self):
         config = trial_config(n_sim=5)
