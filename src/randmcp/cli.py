@@ -6,8 +6,10 @@ trial dataset), ``contrasts`` (export the contrast matrix), ``counts``
 Configs are JSON; every output embeds the config hash and seed so
 identical inputs reproduce identical result bytes.
 
-Exit codes: 0 success, 1 runtime failure, 2 invalid input, 3 resource
-cap exceeded.
+Each command has a read stage, which reads and checks every input and
+writes nothing, and a run stage.  ``main`` maps their failures to exit
+codes: 0 success, 1 runtime failure, 2 invalid input (any read-stage
+error), 3 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -19,41 +21,41 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from functools import partial
 from importlib.metadata import version as _pkg_version
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .contrasts import contrast_matrix, shape_matrix
 from .data import read_trial_csv
-from .dose_response import DoseGrid, candidate_set_from_config, default_candidate_set
-from .inference import METHOD_IDS, TestMethod, analyze
-from .presets import load_preset, preset_names
+from .glm import SEP_NONE, SEP_UNCHECKED, available_cpus
+from .inference import METHOD_IDS, analyze
+from .presets import build_preset_dict, preset_names
 from .randomization import (
     ENUMERATION_CAP,
     EnumerationTooLargeError,
-    RandomizationSpec,
     count_sequences,
     enumerate_sequences,
 )
 from .rng import substream
 from .simulate import (
-    _SPEC_KEYS,
-    _method_from_entry,
-    _reject_unknown,
+    analysis_from_dict,
+    contrasts_from_dict,
+    replay_from_dict,
     run_table_block,
     scenario_from_dict,
     scenario_to_dict,
     spec_from_dict,
 )
-from .glm import SEP_NONE, SEP_UNCHECKED, available_cpus
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
+
+# Override flag -> the config field it replaces; ``--methods`` is folded apart.
+_OVERRIDES = {"seed": "seed", "sims": "n_sim", "rand": "n_rand", "method": "method"}
 
 
 def _config_hash(payload: dict) -> str:
@@ -101,48 +103,44 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _candidates_from_config(cfg: dict):
-    entries = cfg.get("candidates")
-    return candidate_set_from_config(entries) if entries else default_candidate_set()
+def _load_config(args) -> dict:
+    """The config dict of ``--preset`` or ``--config``; exactly one must be given."""
+    if bool(args.preset) == bool(args.config):
+        raise ValueError("give exactly one of --preset or --config")
+    return build_preset_dict(args.preset) if args.preset else _load_json(args.config)
+
+
+def _with_overrides(cfg: dict, args) -> dict:
+    """``cfg`` with the override flags given on the command line folded in.
+
+    ``--methods`` keeps the configured entry of each id it names, so the
+    entry's settings survive; an id the config does not list gets a bare
+    entry.  The result is the config a run records and hashes.
+    """
+    cfg = dict(cfg)
+    for flag, key in _OVERRIDES.items():
+        if getattr(args, flag, None) is not None:
+            cfg[key] = getattr(args, flag)
+    if getattr(args, "methods", None):
+        entries = {e if isinstance(e, str) else e["id"]: e for e in cfg.get("methods", ())}
+        cfg["methods"] = [entries.get(mid, mid) for mid in args.methods.split(",")]
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(args) -> int:
-    if bool(args.preset) == bool(args.config):
-        print("simulate: give exactly one of --preset or --config", file=sys.stderr)
-        return EXIT_INVALID
-    if args.config:
-        try:
-            raw = _load_json(args.config)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"simulate: invalid configuration: {exc}", file=sys.stderr)
-            return EXIT_INVALID
-        if "potential_outcomes" in raw:
-            return _simulate_potential_outcomes(raw, args)
-    try:
-        if args.preset:
-            config = load_preset(args.preset)
-        else:
-            config = scenario_from_dict(_load_json(args.config))
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        if args.sims is not None:
-            config = replace(config, n_sim=args.sims)
-        if args.rand is not None:
-            config = replace(config, n_rand=args.rand)
-        if args.methods:
-            config = replace(config, methods=tuple(
-                TestMethod(id=m, n_rand=config.n_rand) for m in args.methods.split(",")
-            ))
-        shape_matrix(config.candidates, config.grid)  # a degenerate candidate is invalid input
-        workers = _worker_count(args.workers)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"simulate: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+def _read_simulate(args):
+    cfg = _with_overrides(_load_config(args), args)
+    workers = _worker_count(args.workers)
+    if "potential_outcomes" in cfg:
+        study = replay_from_dict(cfg, Path(args.config).parent)
+        return partial(_run_replay, args, cfg, study, workers)
+    return partial(_run_scenario, args, scenario_from_dict(cfg), workers)
 
+
+def _run_scenario(args, config, workers: int) -> None:
     payload = scenario_to_dict(config)
     with _progress_to_stderr(args.progress):
         block = run_table_block(config, workers=workers, progress=args.progress)
@@ -168,77 +166,33 @@ def _cmd_simulate(args) -> int:
             },
         },
     })
-    return EXIT_OK
 
 
-_REPLAY_KEYS = {
-    "name", "potential_outcomes", "endpoint", "candidates", "seed", "n_sim", "n_rand",
-    "methods", "alpha", "include_baseline_covariate", "sort_by_baseline", *_SPEC_KEYS,
-}
-
-
-def _simulate_potential_outcomes(cfg: dict, args) -> int:
+def _run_replay(args, cfg: dict, study: dict, workers: int) -> None:
     """Replay-mode study: a fixed potential-outcomes table, many sequences."""
-    from .data import read_potential_outcomes_csv
-    from .dose_response import wide_range_candidate_set
-    from .simulate import simulate_from_potential_outcomes
+    from .simulate import simulate_from_potential_outcomes  # looked up at each call
 
-    try:
-        _reject_unknown(cfg, _REPLAY_KEYS, "potential-outcomes config")
-        spec = spec_from_dict(cfg)
-        table_path = Path(cfg["potential_outcomes"])
-        if not table_path.is_absolute():
-            table_path = Path(args.config).parent / table_path
-        table = read_potential_outcomes_csv(table_path,
-                                            endpoint=cfg.get("endpoint", "continuous"))
-        if cfg.get("candidates"):
-            candidates = candidate_set_from_config(cfg["candidates"])
-        else:
-            candidates = wide_range_candidate_set(spec.grid.doses[-1])
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 1))
-        n_sim = args.sims if args.sims is not None else int(cfg.get("n_sim", 1000))
-        n_rand = args.rand if args.rand is not None else int(cfg.get("n_rand", 1000))
-        method_ids = (args.methods.split(",") if args.methods
-                      else cfg.get("methods", ["population", "residual_mle"]))
-        methods = tuple(_method_from_entry(m, n_rand) for m in method_ids)
-        name = cfg.get("name", "potential_outcomes")
-        alpha = float(cfg.get("alpha", 0.05))
-        workers = _worker_count(args.workers)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"simulate: invalid potential-outcomes configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    try:
-        with _progress_to_stderr(args.progress):
-            result = simulate_from_potential_outcomes(
-                table, spec, methods, candidates, alpha=alpha, n_sim=n_sim, seed=seed,
-                include_baseline_covariate=bool(cfg.get("include_baseline_covariate", True)),
-                sort_by_baseline=bool(cfg.get("sort_by_baseline", False)),
-                name=name, workers=workers,
-                progress=args.progress,
-            )
-    except ValueError as exc:
-        print(f"simulate: invalid potential-outcomes configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    with _progress_to_stderr(args.progress):
+        result = simulate_from_potential_outcomes(**study, workers=workers,
+                                                  progress=args.progress)
     rows = [{
         "test": m.number,
         "method": m.method_id,
         "rejection_rate_pct": round(100 * m.rejection_rate, 2),
         "mcse_pct": round(100 * m.mcse, 3),
     } for m in result.methods]
-    _write_study(Path(args.out), f"{name}_po", {
-        "provenance": provenance(cfg, seed),
+    _write_study(Path(args.out), f"{study['name']}_po", {
+        "provenance": provenance(cfg, study["seed"]),
         "config": cfg,
         "results": {
             "table": rows,
-            "alpha": alpha,
-            "n_sim": n_sim,
-            "sorted_by_baseline": bool(cfg.get("sort_by_baseline", False)),
+            "alpha": study["alpha"],
+            "n_sim": study["n_sim"],
+            "sorted_by_baseline": study["sort_by_baseline"],
             "diagnostics": {m.method_id: m.diagnostics for m in result.methods},
         },
         "timing": {m.method_id: m.mean_runtime_s for m in result.methods},
     })
-    return EXIT_OK
 
 
 def _write_study(out: Path, stem: str, summary: dict) -> None:
@@ -280,35 +234,16 @@ def _progress_to_stderr(enabled):
 # analyze
 # ---------------------------------------------------------------------------
 
-def _cmd_analyze(args) -> int:
-    try:
-        cfg = _load_json(args.config)
-        spec = spec_from_dict(cfg)
-        candidates = _candidates_from_config(cfg)
-        method_id = args.method or cfg.get("method", "residual_firth")
-        n_rand = args.rand if args.rand is not None else int(cfg.get("n_rand", 1000))
-        method = TestMethod(id=method_id, n_rand=n_rand,
-                            pvalue_rule=cfg.get("pvalue_rule", "plain"))
-        data = read_trial_csv(args.data, grid=spec.grid,
-                              endpoint=cfg.get("endpoint", "binary"))
-        shape_matrix(candidates, spec.grid)  # a degenerate candidate is invalid input
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"analyze: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+def _read_analyze(args):
+    cfg = _with_overrides(_load_json(args.config), args)
+    spec, method, candidates, endpoint, seed = analysis_from_dict(cfg)
+    data = read_trial_csv(args.data, grid=spec.grid, endpoint=endpoint)
+    return partial(_run_analyze, args, cfg, data, method, candidates, spec, seed)
 
-    try:
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 1))
-        outcome = analyze(
-            data, method, candidates, spec=spec,
-            rng=substream(seed, 0), exact=args.exact,
-        )
-    except EnumerationTooLargeError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except Exception as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
+def _run_analyze(args, cfg: dict, data, method, candidates, spec, seed: int) -> None:
+    outcome = analyze(data, method, candidates, spec=spec, rng=substream(seed, 0),
+                      exact=args.exact)
     diagnostics = dict(outcome.diagnostics)
     result = {
         "provenance": provenance(cfg, seed),
@@ -336,7 +271,6 @@ def _cmd_analyze(args) -> int:
         print(f"wrote {args.out}")
     else:
         print(text, end="")
-    return EXIT_OK
 
 
 def _json_float(v: float):
@@ -365,22 +299,11 @@ def _jsonable(obj):
 # contrasts / counts / enumerate
 # ---------------------------------------------------------------------------
 
-def _cmd_contrasts(args) -> int:
-    try:
-        cfg = _load_json(args.config)
-        grid = DoseGrid(doses=tuple(cfg["doses"]))
-        candidates = _candidates_from_config(cfg)
-        if "arm_sizes" in cfg:
-            matrix = contrast_matrix(candidates, grid, arm_sizes=cfg["arm_sizes"])
-        elif "covariance" in cfg:
-            matrix = contrast_matrix(candidates, grid, covariance=np.asarray(cfg["covariance"]))
-        else:
-            spec = spec_from_dict(cfg)
-            matrix = contrast_matrix(candidates, grid, arm_sizes=spec.expected_arm_sizes())
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"contrasts: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+def _read_contrasts(args):
+    return partial(_run_contrasts, args, *contrasts_from_dict(_load_json(args.config)))
 
+
+def _run_contrasts(args, grid, matrix) -> None:
     rows = [["candidate"] + [f"dose_{d:g}" for d in grid.doses]]
     for label, vec in zip(matrix.labels, matrix.vectors):
         rows.append([label] + [repr(float(v)) for v in vec])
@@ -392,41 +315,25 @@ def _cmd_contrasts(args) -> int:
         csv.writer(sys.stdout).writerows(rows)
     for name in matrix.skipped:
         print(f"note: flat candidate {name!r} carries no contrast", file=sys.stderr)
-    return EXIT_OK
 
 
-def _resolve_spec(args) -> RandomizationSpec:
-    if bool(args.preset) == bool(args.config):
-        raise ValueError("give exactly one of --preset or --config")
-    if args.preset:
-        return load_preset(args.preset).spec
-    return spec_from_dict(_load_json(args.config))
+def _read_counts(args):
+    return partial(_run_counts, spec_from_dict(_load_config(args)))
 
 
-def _cmd_counts(args) -> int:
-    try:
-        spec = _resolve_spec(args)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"counts: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+def _run_counts(spec) -> None:
     count, log10 = count_sequences(spec)
     print(f"procedure={spec.procedure} n={spec.n} arms={spec.k}")
     print(f"sequences={count}")
     print(f"log10={log10:.6f}")
-    return EXIT_OK
 
 
-def _cmd_enumerate(args) -> int:
-    try:
-        spec = _resolve_spec(args)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"enumerate: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        sequences = enumerate_sequences(spec, cap=args.cap)
-    except EnumerationTooLargeError as exc:
-        print(f"enumerate: {exc}", file=sys.stderr)
-        return EXIT_CAP
+def _read_enumerate(args):
+    return partial(_run_enumerate, args, spec_from_dict(_load_config(args)))
+
+
+def _run_enumerate(args, spec) -> None:
+    sequences = enumerate_sequences(spec, cap=args.cap)  # checks the cap before any output
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(sink)
@@ -439,7 +346,6 @@ def _cmd_enumerate(args) -> int:
             sink.close()
     if args.out:
         print(f"wrote {args.out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "else the CPUs this process may run on)")
     sim.add_argument("--progress", type=int, default=None,
                      help="log progress every N trials to stderr")
-    sim.set_defaults(func=_cmd_simulate)
+    sim.set_defaults(read=_read_simulate)
 
     ana = sub.add_parser("analyze", help="analyze one trial CSV")
     ana.add_argument("--data", required=True, help="trial CSV")
@@ -475,36 +381,43 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--exact", action="store_true",
                      help="enumerate the reference set instead of Monte Carlo")
     ana.add_argument("--out", help="write the result JSON here (default stdout)")
-    ana.set_defaults(func=_cmd_analyze)
+    ana.set_defaults(read=_read_analyze)
 
     con = sub.add_parser("contrasts", help="export the optimal contrast matrix")
     con.add_argument("--config", required=True, help="config JSON with doses and candidates")
     con.add_argument("--out", help="output CSV (default stdout)")
-    con.set_defaults(func=_cmd_contrasts)
+    con.set_defaults(read=_read_contrasts)
 
     cnt = sub.add_parser("counts", help="exact reference-set size")
     cnt.add_argument("--preset")
     cnt.add_argument("--config")
-    cnt.set_defaults(func=_cmd_counts)
+    cnt.set_defaults(read=_read_counts)
 
     enu = sub.add_parser("enumerate", help="stream the full reference set")
     enu.add_argument("--preset")
     enu.add_argument("--config")
     enu.add_argument("--out", help="output CSV (default stdout)")
     enu.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    enu.set_defaults(func=_cmd_enumerate)
+    enu.set_defaults(read=_read_enumerate)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except KeyboardInterrupt:  # pragma: no cover
+        run = args.read(args)
+    except Exception as exc:
+        print(f"{args.command}: invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    try:
+        run()
+    except EnumerationTooLargeError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except (Exception, KeyboardInterrupt) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except Exception as exc:  # pragma: no cover - final safety net
-        print(f"randmcp: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    return EXIT_OK
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -83,7 +83,7 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-def design_from_assignments(arms, k: int, covariates=None, labels=None) -> DesignMatrix:
+def design_from_assignments(arms, k: int, covariates=None) -> DesignMatrix:
     """Dose-indicator design (one column per arm) plus optional covariates."""
     arms = np.asarray(arms, dtype=int)
     if arms.ndim != 1:
@@ -94,11 +94,10 @@ def design_from_assignments(arms, k: int, covariates=None, labels=None) -> Desig
     cov = _as_covariates(covariates, arms.shape[0])
     if cov.shape[1]:
         cols.append(cov)
-    if labels is None:
-        labels = tuple(f"arm_{j}" for j in range(k)) + tuple(
-            f"x_{i + 1}" for i in range(cov.shape[1])
-        )
-    return DesignMatrix(values=np.hstack(cols), dose_columns=k, labels=tuple(labels))
+    labels = tuple(f"arm_{j}" for j in range(k)) + tuple(
+        f"x_{i + 1}" for i in range(cov.shape[1])
+    )
+    return DesignMatrix(values=np.hstack(cols), dose_columns=k, labels=labels)
 
 
 def covariate_design(covariates, n: int | None = None) -> DesignMatrix:

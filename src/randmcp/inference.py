@@ -62,8 +62,6 @@ class TestMethod:
     id: str
     n_rand: int = 1000
     pvalue_rule: str = "plain"  # "plain" | "add_one"
-    qmc_points: int = 1 << 14  # population reference: sampled directions
-    qmc_reps: int = 8
     # Population-test reference: None uses correlated standard normals;
     # a finite value uses the multivariate t with that many degrees of
     # freedom (the finite-sample convention of standard dose-finding
@@ -80,8 +78,6 @@ class TestMethod:
             raise ValueError("randomization methods need n_rand >= 1")
         if self.df is not None and self.df <= 0:
             raise ValueError("df must be positive when given")
-        if self.qmc_reps < 2 or self.qmc_points < 1:
-            raise ValueError("the population integral needs qmc_reps >= 2 and qmc_points >= 1")
 
     @property
     def number(self) -> int:
@@ -549,7 +545,7 @@ def population_test(
     means, and reports the one-sided multiplicity-adjusted p-value
     ``P(max of M correlated standard normals >= observed max)`` (the
     multivariate t for a finite ``method.df``) by ``max_tail_probability``
-    over ``method.qmc_points`` directions, with ``qmc_error`` its error.
+    at its default budget, with ``qmc_error`` its error.
     """
     method = method or TestMethod(id="population")
     if method.id != "population":
@@ -567,10 +563,7 @@ def population_test(
     corr = cross / np.outer(scale, scale)
     np.fill_diagonal(corr, 1.0)
 
-    p, err, repaired = max_tail_probability(
-        t_obs, corr, points=method.qmc_points, reps=method.qmc_reps, rng=rng,
-        df=method.df,
-    )
+    p, err, repaired = max_tail_probability(t_obs, corr, rng=rng, df=method.df)
     diagnostics = {
         "qmc_error": err,
         "correlation_repaired": repaired,

@@ -7,7 +7,8 @@ drift of the success probabilities, and the battery of test methods.
 Each simulated trial draws its own counter-based RNG streams keyed by
 the trial index, so a study is reproducible regardless of how trials
 are scheduled; all methods see the same simulated data and share one
-batch of re-randomization sequences per trial.
+batch of re-randomization sequences per trial.  Every config format the
+CLI takes (scenario, replay, analysis, contrasts) is read here.
 """
 from __future__ import annotations
 
@@ -15,10 +16,12 @@ import logging
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
-from .data import PotentialOutcomeTable, TrialDataset
+from .contrasts import ContrastMatrix, contrast_matrix, shape_matrix
+from .data import PotentialOutcomeTable, TrialDataset, read_potential_outcomes_csv
 from .dose_response import (
     CandidateModel,
     CandidateSet,
@@ -28,6 +31,7 @@ from .dose_response import (
     default_candidate_set,
     eval_model,
     inverse_logit,
+    wide_range_candidate_set,
 )
 from .glm import separation_batch
 from .inference import (
@@ -71,10 +75,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.time_trend not in TIME_TRENDS:
             raise ValueError(f"time_trend must be one of {TIME_TRENDS}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.n_sim < 1:
-            raise ValueError("n_sim must be positive")
+        _check_size(self.n_sim, self.alpha)
         methods = self.methods or default_methods(self.n_rand)
         methods = tuple(
             m if m.n_rand == self.n_rand or m.id == "population"
@@ -95,6 +96,13 @@ class ScenarioConfig:
             shape="emax", theta0=theta0, theta1=theta1, theta2=self.emax_ed50,
             name="truth_emax",
         )
+
+
+def _check_size(n_sim: int, alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    if n_sim < 1:
+        raise ValueError("n_sim must be positive")
 
 
 def linear_time_trend(n: int) -> np.ndarray:
@@ -272,6 +280,7 @@ class _Study:
     alpha: float
 
 
+
 def _trial_range(study: _Study, lo: int, hi: int, progress=None) -> list[tuple[dict, dict]]:
     """Flags and per-method results of trials [lo, hi); the worker unit."""
     out = []
@@ -300,12 +309,8 @@ def _run_study(study: _Study, workers: int, progress, **fields) -> StudyResult:
     :class:`StudyResult`.
     """
     n = study.n_sim
-    if n < 1:
-        raise ValueError("n_sim must be positive")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, not {workers}")
-    if not 0.0 < study.alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     if workers > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -422,8 +427,23 @@ def simulate_from_potential_outcomes(
     reveals the outcome of patient i under their assigned dose.  With
     ``sort_by_baseline`` the rows are enrolled in increasing baseline
     order, which acts as a systematic time trend.  Raises ValueError
-    unless ``n_sim >= 1``, ``0 < alpha < 1`` and ``workers >= 1``.
+    before the first trial unless the table fits ``spec``, ``n_sim >= 1``,
+    ``0 < alpha < 1`` and ``workers >= 1``.
     """
+    study = _replay_study(table, spec, methods, candidates, alpha, n_sim, seed,
+                          include_baseline_covariate, sort_by_baseline, name)
+    return _run_study(
+        study, workers, progress,
+        time_trend="sorted_baseline" if sort_by_baseline else "none",
+        p0=float("nan"), pk=float("nan"),
+        n_rand=max((m.n_rand for m in methods if m.is_randomization), default=0),
+    )
+
+
+def _replay_study(table, spec, methods, candidates, alpha, n_sim, seed,
+                  include_baseline_covariate, sort_by_baseline, name) -> _Study:
+    """The study a replay runs; raises ValueError for arguments it cannot run."""
+    _check_size(n_sim, alpha)
     if table.n != spec.n:
         raise ValueError(f"table has {table.n} rows but the procedure expects {spec.n}")
     if table.k != spec.grid.k:
@@ -432,14 +452,8 @@ def simulate_from_potential_outcomes(
         table = table.sorted_by_baseline()
     covariates = table.baseline[:, None] if include_baseline_covariate \
         else np.empty((table.n, 0))
-    study = _Study(name, _ReplayTrials(table, spec, covariates, seed), spec, methods,
-                   candidates, seed, n_sim, alpha)
-    return _run_study(
-        study, workers, progress,
-        time_trend="sorted_baseline" if sort_by_baseline else "none",
-        p0=float("nan"), pk=float("nan"),
-        n_rand=max((m.n_rand for m in methods if m.is_randomization), default=0),
-    )
+    return _Study(name, _ReplayTrials(table, spec, covariates, seed), spec, methods,
+                  candidates, seed, n_sim, alpha)
 
 
 def synthetic_potential_table(
@@ -479,7 +493,7 @@ def synthetic_potential_table(
 
 
 # ---------------------------------------------------------------------------
-# Configuration serialization (shared by CLI and presets)
+# Config formats (shared by CLI and presets)
 # ---------------------------------------------------------------------------
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
@@ -525,14 +539,6 @@ def _method_dict(method: TestMethod):
     return {"id": method.id, **extras}
 
 
-def _method_from_entry(entry, n_rand: int) -> TestMethod:
-    if isinstance(entry, str):
-        return TestMethod(id=entry, n_rand=n_rand)
-    entry = dict(entry)
-    _reject_unknown(entry, {f.name for f in fields(TestMethod)}, "method entry")
-    return TestMethod(id=entry.pop("id"), n_rand=int(entry.pop("n_rand", n_rand)), **entry)
-
-
 def _model_dict(model: CandidateModel) -> dict:
     out = {"shape": model.shape, "name": model.name}
     for key in ("theta0", "theta1", "theta2", "h", "delta1", "delta2"):
@@ -548,20 +554,20 @@ def _model_dict(model: CandidateModel) -> dict:
 
 
 _SPEC_KEYS = ("doses", "procedure", "n", "targets", "block", "probs", "weights")
+_REPLAY_KEYS = {
+    "name", "potential_outcomes", "endpoint", "candidates", "seed", "n_sim", "n_rand",
+    "methods", "alpha", "include_baseline_covariate", "sort_by_baseline", *_SPEC_KEYS,
+}
+_ANALYSIS_KEYS = {"method", "n_rand", "seed", "pvalue_rule", "endpoint", "candidates",
+                  *_SPEC_KEYS}
+_CONTRASTS_KEYS = {"candidates", "arm_sizes", "covariance", *_SPEC_KEYS}
 
 
 def spec_from_dict(d: dict) -> RandomizationSpec:
     """The randomization procedure a config declares under ``_SPEC_KEYS``."""
-    grid = DoseGrid(doses=tuple(d["doses"]))
-    return RandomizationSpec(
-        procedure=d["procedure"],
-        grid=grid,
-        n=int(d["n"]),
-        targets=tuple(d["targets"]) if "targets" in d else None,
-        block=tuple(d["block"]) if "block" in d else None,
-        probs=tuple(d["probs"]) if "probs" in d else None,
-        weights=tuple(d["weights"]) if "weights" in d else None,
-    )
+    design = {key: tuple(d[key]) for key in ("targets", "block", "probs", "weights") if key in d}
+    return RandomizationSpec(procedure=d["procedure"], grid=DoseGrid(doses=tuple(d["doses"])),
+                             n=int(d["n"]), **design)
 
 
 def _reject_unknown(d: dict, known: set[str], what: str) -> None:
@@ -570,19 +576,97 @@ def _reject_unknown(d: dict, known: set[str], what: str) -> None:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
+def _methods_from_entries(entries, n_rand: int) -> tuple[TestMethod, ...]:
+    """Methods from id strings or ``{"id": ..., <TestMethod field>: ...}`` entries.
+
+    ``n_rand`` applies to every entry that does not set its own.
+    """
+    methods = []
+    for entry in entries:
+        entry = {"id": entry} if isinstance(entry, str) else dict(entry)
+        _reject_unknown(entry, {f.name for f in fields(TestMethod)}, "method entry")
+        entry["n_rand"] = int(entry.get("n_rand", n_rand))
+        methods.append(TestMethod(**entry))
+    ids = [m.id for m in methods]
+    duplicated = sorted({mid for mid in ids if ids.count(mid) > 1})
+    if duplicated:
+        raise ValueError(f"duplicate method ids: {duplicated}")
+    return tuple(methods)
+
+
+def _candidates(d: dict, grid: DoseGrid, default: CandidateSet) -> CandidateSet:
+    """The config's ``candidates``, else ``default``; a constant candidate raises."""
+    candidates = candidate_set_from_config(d["candidates"]) if d.get("candidates") else default
+    shape_matrix(candidates, grid)
+    return candidates
+
+
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     _reject_unknown(d, {f.name for f in fields(ScenarioConfig)} - {"spec"} | set(_SPEC_KEYS),
                     "scenario config")
     if "name" not in d:
         raise ValueError("scenario config is missing the required field 'name'")
+    entries = d.get("methods") or ()
+    if any(isinstance(e, dict) and "n_rand" in e for e in entries):
+        raise ValueError("a scenario method entry cannot set n_rand: "
+                         "the scenario's n_rand governs every method")
     spec = spec_from_dict(d)
-    d = {key: val for key, val in d.items() if key not in _SPEC_KEYS}
-    n_rand = int(d.pop("n_rand", 1000))
-    method_entries = d.pop("methods", None)
-    methods = tuple(_method_from_entry(e, n_rand) for e in method_entries) \
-        if method_entries else default_methods(n_rand)
-    cand_cfg = d.pop("candidates", None)
-    candidates = candidate_set_from_config(cand_cfg) if cand_cfg else default_candidate_set()
+    n_rand = int(d.get("n_rand", 1000))
+    rest = {key: val for key, val in d.items()
+            if key not in (*_SPEC_KEYS, "n_rand", "methods", "candidates")}
     return ScenarioConfig(
-        spec=spec, n_rand=n_rand, methods=methods, candidates=candidates, **d
+        spec=spec, n_rand=n_rand, methods=_methods_from_entries(entries, n_rand),
+        candidates=_candidates(d, spec.grid, default_candidate_set()), **rest,
     )
+
+
+def replay_from_dict(d: dict, base: Path) -> dict:
+    """Keyword arguments of :func:`simulate_from_potential_outcomes` for a replay config.
+
+    A relative ``potential_outcomes`` path is taken from ``base``.  Every
+    check the study makes before its first trial runs here too.
+    """
+    _reject_unknown(d, _REPLAY_KEYS, "potential-outcomes config")
+    spec = spec_from_dict(d)
+    n_rand = int(d.get("n_rand", 1000))
+    study = {
+        "table": read_potential_outcomes_csv(base / d["potential_outcomes"],
+                                             endpoint=d.get("endpoint", "continuous")),
+        "spec": spec,
+        "methods": _methods_from_entries(d.get("methods", ["population", "residual_mle"]),
+                                         n_rand),
+        "candidates": _candidates(d, spec.grid, wide_range_candidate_set(spec.grid.doses[-1])),
+        "alpha": float(d.get("alpha", 0.05)),
+        "n_sim": int(d.get("n_sim", 1000)),
+        "seed": int(d.get("seed", 1)),
+        "include_baseline_covariate": bool(d.get("include_baseline_covariate", True)),
+        "sort_by_baseline": bool(d.get("sort_by_baseline", False)),
+        "name": d.get("name", "potential_outcomes"),
+    }
+    _replay_study(**study)
+    return study
+
+
+def analysis_from_dict(d: dict) -> tuple[RandomizationSpec, TestMethod, CandidateSet, str, int]:
+    """Procedure, method, candidates, endpoint and seed of an analysis config."""
+    _reject_unknown(d, _ANALYSIS_KEYS, "analysis config")
+    spec = spec_from_dict(d)
+    method = TestMethod(id=d.get("method", "residual_firth"), n_rand=int(d.get("n_rand", 1000)),
+                        pvalue_rule=d.get("pvalue_rule", "plain"))
+    return (spec, method, _candidates(d, spec.grid, default_candidate_set()),
+            d.get("endpoint", "binary"), int(d.get("seed", 1)))
+
+
+def contrasts_from_dict(d: dict) -> tuple[DoseGrid, ContrastMatrix]:
+    """The dose grid and contrast matrix of a contrasts config.
+
+    It weights by the config's ``arm_sizes`` or ``covariance``, else by
+    the expected arm sizes of its procedure.
+    """
+    _reject_unknown(d, _CONTRASTS_KEYS, "contrasts config")
+    grid = DoseGrid(doses=tuple(d["doses"]))
+    candidates = _candidates(d, grid, default_candidate_set())
+    arm_sizes, covariance = d.get("arm_sizes"), d.get("covariance")
+    if arm_sizes is None and covariance is None:
+        arm_sizes = spec_from_dict(d).expected_arm_sizes()
+    return grid, contrast_matrix(candidates, grid, arm_sizes=arm_sizes, covariance=covariance)

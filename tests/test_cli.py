@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,12 @@ import pytest
 
 from randmcp import cli, simulate
 from randmcp.cli import main
-from randmcp.data import TrialDataset, write_potential_outcomes_csv, write_trial_csv
+from randmcp.data import (
+    PotentialOutcomeTable,
+    TrialDataset,
+    write_potential_outcomes_csv,
+    write_trial_csv,
+)
 from randmcp.dose_response import DoseGrid
 from randmcp.inference import TestMethod
 from randmcp.rng import substream
@@ -226,6 +232,70 @@ class TestSimulateCommand:
         assert cli._worker_count(None) == 2
         assert cli._worker_count(5) == 5
 
+    def test_scenario_method_entry_cannot_set_n_rand(self, tiny_scenario, tmp_path, capsys):
+        config = json.loads(tiny_scenario.read_text())
+        config["methods"] = [{"id": "glm_mle", "n_rand": 5}]
+        tiny_scenario.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", str(tiny_scenario),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        err = capsys.readouterr().err
+        assert "n_rand" in err and "governs every method" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("replay", [False, True])
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_duplicate_method_ids_exit_2(self, tiny_scenario, replay_config, tmp_path, capsys,
+                                         replay, in_config):
+        config = replay_config() if replay else tiny_scenario
+        argv = ["--methods", "residual_mle,residual_mle"]
+        if in_config:
+            payload = json.loads(config.read_text())
+            payload["methods"] = ["residual_mle", "glm_mle", "residual_mle"]
+            config.write_text(json.dumps(payload))
+            argv = []
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                       "--workers", "1", *argv) == 2
+        assert "duplicate method ids: ['residual_mle']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_methods_flag_keeps_the_preset_entries(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--preset", "n49_pbd_notrend", "--out", str(out),
+                       "--workers", "1", "--sims", "1", "--rand", "5",
+                       "--methods", "population,glm_mle") == 0
+        config = json.loads((out / "n49_pbd_notrend_summary.json").read_text())["config"]
+        assert config["methods"] == [{"id": "population", "df": 44}, "glm_mle"]
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_overrides_equal_the_same_config_written_out(self, tiny_scenario, replay_config,
+                                                         tmp_path, replay):
+        config = replay_config() if replay else tiny_scenario
+        flags = ["--seed", "5", "--sims", "3", "--rand", "12", "--methods", "glm_mle,population"]
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "flags"),
+                       "--workers", "1", *flags) == 0
+        payload = json.loads(config.read_text())
+        payload.update(seed=5, n_sim=3, n_rand=12, methods=["glm_mle", "population"])
+        config.write_text(json.dumps(payload))
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "file"),
+                       "--workers", "1") == 0
+        for path in (tmp_path / "flags").iterdir():
+            twin = tmp_path / "file" / path.name
+            if path.suffix == ".json":
+                assert _pinned_json(path) == _pinned_json(twin)
+            else:
+                assert path.read_bytes() == twin.read_bytes()
+
+    def test_degenerate_replayed_trial_exits_1(self, replay_config, tmp_path, capsys):
+        config = replay_config(methods=["population"])
+        rng = substream(3, 2)
+        write_potential_outcomes_csv(tmp_path / "po.csv", PotentialOutcomeTable(
+            outcomes=np.tile(np.arange(5.0), (20, 1)), baseline=rng.normal(size=20)),
+            (0.0, 100.0, 200.0, 400.0, 1000.0))
+        assert run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "o"),
+                       "--workers", "1") == 1
+        assert "invalid" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_preset_and_config_mutually_exclusive(self, tiny_scenario, tmp_path):
         assert run_cli("simulate", "--preset", "n49_pbd_notrend",
                        "--config", str(tiny_scenario), "--out", str(tmp_path / "o")) == 2
@@ -307,6 +377,28 @@ class TestAnalyzeCommand:
         assert "flat_line" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_config_field_exits_2(self, two_arm_config, tmp_path, capsys):
+        config = json.loads(two_arm_config.read_text())
+        config["pvalue_rlue"] = "add_one"
+        two_arm_config.write_text(json.dumps(config))
+        trial = tmp_path / "trial.csv"
+        write_two_arm_trial(trial, [1, 0, 1, 0, 1, 0, 1, 0])
+        assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config)) == 2
+        assert "pvalue_rlue" in capsys.readouterr().err
+
+    def test_overrides_equal_the_same_config_written_out(self, two_arm_config, tmp_path):
+        trial = tmp_path / "trial.csv"
+        write_two_arm_trial(trial, [1, 0, 1, 1, 0, 1, 0, 0])
+        assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config),
+                       "--method", "glm_firth", "--rand", "30", "--seed", "8",
+                       "--out", str(tmp_path / "flags.json")) == 0
+        config = json.loads(two_arm_config.read_text())
+        config.update(method="glm_firth", n_rand=30, seed=8)
+        two_arm_config.write_text(json.dumps(config))
+        assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config),
+                       "--out", str(tmp_path / "file.json")) == 0
+        assert (tmp_path / "flags.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+
     def test_unknown_method_exits_2(self, two_arm_config, tmp_path):
         trial = tmp_path / "trial.csv"
         write_two_arm_trial(trial, [1, 0, 1, 0, 1, 0, 1, 0])
@@ -331,6 +423,18 @@ class TestContrastsCommand:
             values = np.array([float(v) for v in line.split(",")[1:]])
             assert abs(values.sum()) < 1e-10
             assert np.linalg.norm(values) == pytest.approx(1.0, abs=1e-10)
+
+
+    @pytest.mark.parametrize("config, field", [
+        ({"doses": [0.0, 100.0], "arm_sizez": [4, 4]}, "arm_sizez"),
+        ({"doses": [0.0, 100.0], "arm_sizes": [4, 4], "covariance": [[1, 0], [0, 1]]},
+         "covariance"),
+    ])
+    def test_bad_config_field_exits_2(self, tmp_path, capsys, config, field):
+        cfg = tmp_path / "contrasts.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("contrasts", "--config", str(cfg)) == 2
+        assert field in capsys.readouterr().err
 
 
 class TestCountsCommand:
@@ -396,3 +500,93 @@ class TestEnumerateCommand:
         out.write_text("kept\n")
         assert run_cli("enumerate", "--config", str(cfg), "--out", str(out), "--cap", "1000") == 3
         assert out.read_text() == "kept\n"
+
+
+def _pinned_json(path):
+    """A summary or result JSON as written, minus wall-clock and library versions."""
+    payload = json.loads(Path(path).read_text())
+    payload.pop("timing", None)
+    for key in ("randmcp_version", "numpy_version", "scipy_version"):
+        payload["provenance"].pop(key)
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _sha256(text):
+    return hashlib.sha256(text if isinstance(text, bytes) else text.encode()).hexdigest()
+
+
+class TestPinnedOutputs:
+    """Every command's output bytes with no override flag, pinned by sha256.
+
+    The JSON files are compared without their ``timing`` block and
+    library versions, which are outside the reproduction contract.
+    """
+
+    def test_simulate_scenario(self, tiny_scenario, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(tiny_scenario), "--out", str(out),
+                       "--workers", "1") == 0
+        assert _sha256((out / "tiny_table.csv").read_bytes()) == PINNED["scenario_table"]
+        assert _sha256(_pinned_json(out / "tiny_summary.json")) == PINNED["scenario_summary"]
+
+    def test_simulate_replay(self, replay_config, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--config", str(replay_config(methods=[
+            {"id": "population", "df": 15}, "glm_mle", {"id": "residual_mle", "n_rand": 10}])),
+            "--out", str(out), "--workers", "1") == 0
+        assert _sha256((out / "demo_po_table.csv").read_bytes()) == PINNED["replay_table"]
+        assert _sha256(_pinned_json(out / "demo_po_summary.json")) == PINNED["replay_summary"]
+
+    def test_analyze_exact(self, tmp_path):
+        grid = DoseGrid(doses=(0.0, 25.0, 100.0))
+        rng = substream(5, 5)
+        arms = rng.permutation(np.repeat(np.arange(3), 3))
+        x = rng.normal(size=9)
+        y = np.array([0, 1, 0, 1, 1, 0, 1, 1, 0], dtype=float)
+        write_trial_csv(tmp_path / "trial.csv", TrialDataset(
+            arms=arms, outcomes=y, covariates=x[:, None], grid=grid))
+        cfg = tmp_path / "toy.json"
+        cfg.write_text(json.dumps({"doses": list(grid.doses), "procedure": "ra", "n": 9,
+                                   "targets": [3, 3, 3], "method": "residual_firth",
+                                   "pvalue_rule": "add_one", "seed": 2}))
+        out = tmp_path / "res.json"
+        assert run_cli("analyze", "--data", str(tmp_path / "trial.csv"), "--config", str(cfg),
+                       "--exact", "--out", str(out)) == 0
+        assert _sha256(_pinned_json(out)) == PINNED["analyze_exact"]
+
+    def test_contrasts_counts_enumerate(self, tmp_path, capsys):
+        cfg = tmp_path / "design.json"
+        cfg.write_text(json.dumps({"doses": [0.0, 10.0, 25.0, 100.0], "procedure": "pbd",
+                                   "n": 7, "block": [1, 2, 2, 2]}))
+        for command in ("contrasts", "counts", "enumerate"):
+            assert run_cli(command, "--config", str(cfg)) == 0
+            assert _sha256(capsys.readouterr().out) == PINNED[command], command
+        assert run_cli("counts", "--preset", "n490_cr_trend") == 0
+        assert _sha256(capsys.readouterr().out) == PINNED["counts_preset"]
+
+    @pytest.mark.parametrize("replay", [False, True])
+    def test_rand_override_changes_the_config_hash(self, tiny_scenario, replay_config,
+                                                   tmp_path, replay):
+        config = replay_config() if replay else tiny_scenario
+        hashes = set()
+        for n_rand in ("5", "12"):
+            out = tmp_path / n_rand
+            assert run_cli("simulate", "--config", str(config), "--out", str(out),
+                           "--workers", "1", "--rand", n_rand) == 0
+            summary = json.loads(next(out.glob("*_summary.json")).read_text())
+            assert summary["config"]["n_rand"] == int(n_rand)
+            hashes.add(summary["provenance"]["config_sha256"])
+        assert len(hashes) == 2
+
+
+PINNED = {
+    "scenario_table": "af904e85aad7126640c62022d9eff4b5cd2b0762c2f5b0ae340d9d9ac3309af0",
+    "scenario_summary": "cb340de310a7f63bec9720ed5253fa6694ae2a5c88328aa5dcd96dc562592ac9",
+    "replay_table": "2a858664bf0f9734f55b231c84207b1230a8e272b76dc53a965640f730ab80b8",
+    "replay_summary": "8bc583f80a0f8de23183ccb6a00d5910fa997085f21bb4f4b87f219f4f1870e7",
+    "analyze_exact": "8069abc26bba7c686e4dbcdf305eae40b5644d60e3a153f221146a0369f62e01",
+    "contrasts": "9af62625d3dc2665ad8c80a4202f195cc2a535e8036f9c85daa18e133f452ab8",
+    "counts": "60dfaee9d0a20f57df8cf053495279b63be2521d9867948f03f1da5606f55ed9",
+    "enumerate": "fe76c339b051957e538435d5dc52d83477f380c7f5ebeaa4ff09cd440599fc21",
+    "counts_preset": "841a937e9618ca818b3177bd93d3559115f8f56e254d5a7d627c2ff9cbd296e8",
+}

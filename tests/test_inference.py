@@ -639,14 +639,8 @@ class TestMaxTailProbability:
 
 
 class TestMethodValidation:
-    @pytest.mark.parametrize("budget", [{"qmc_reps": 1}, {"qmc_reps": 0}, {"qmc_points": 0}])
-    def test_integration_budget_rejected(self, budget):
-        with pytest.raises(ValueError, match="qmc_reps >= 2 and qmc_points >= 1"):
-            TestMethod(id="population", **budget)
-
     def test_smallest_budget_reports_finite_error(self):
-        method = TestMethod(id="population", qmc_points=1, qmc_reps=2)
-        p, err, _ = max_tail_probability(1.0, trial_corr(), method.qmc_points, method.qmc_reps,
+        p, err, _ = max_tail_probability(1.0, trial_corr(), points=1, reps=2,
                                          rng=substream(1, 9))
         assert 0.0 <= p <= 1.0
         assert np.isfinite(err)
