@@ -554,6 +554,25 @@ class TestPinnedOutputs:
                        "--exact", "--out", str(out)) == 0
         assert _sha256(_pinned_json(out)) == PINNED["analyze_exact"]
 
+    @pytest.mark.parametrize("method", ["population", "glm_mle"])
+    def test_analyze_single_fit(self, tmp_path, method):
+        """The population JSON carries the fit summary, the glm_mle one its refits."""
+        grid = DoseGrid(doses=(0.0, 10.0, 25.0, 100.0))
+        rng = substream(7, 3)
+        arms = rng.permutation(np.repeat(np.arange(4), 6))
+        x = rng.normal(size=24)
+        y = (rng.random(24) < 0.35 + 0.03 * arms + 0.1 * x).astype(float)
+        write_trial_csv(tmp_path / "trial.csv", TrialDataset(
+            arms=arms, outcomes=y, covariates=x[:, None], grid=grid))
+        cfg = tmp_path / "trial.json"
+        cfg.write_text(json.dumps({"doses": list(grid.doses), "procedure": "ra", "n": 24,
+                                   "targets": [6, 6, 6, 6], "method": method,
+                                   "n_rand": 50, "seed": 6}))
+        out = tmp_path / "res.json"
+        assert run_cli("analyze", "--data", str(tmp_path / "trial.csv"), "--config", str(cfg),
+                       "--out", str(out)) == 0
+        assert _sha256(_pinned_json(out)) == PINNED[f"analyze_{method}"]
+
     def test_contrasts_counts_enumerate(self, tmp_path, capsys):
         cfg = tmp_path / "design.json"
         cfg.write_text(json.dumps({"doses": [0.0, 10.0, 25.0, 100.0], "procedure": "pbd",
@@ -585,6 +604,8 @@ PINNED = {
     "replay_table": "2a858664bf0f9734f55b231c84207b1230a8e272b76dc53a965640f730ab80b8",
     "replay_summary": "8bc583f80a0f8de23183ccb6a00d5910fa997085f21bb4f4b87f219f4f1870e7",
     "analyze_exact": "8069abc26bba7c686e4dbcdf305eae40b5644d60e3a153f221146a0369f62e01",
+    "analyze_population": "fea84c5670ba13ce1869bac77631e9f8aad3ae246676ec91f8550634256a6f28",
+    "analyze_glm_mle": "2adfd0eaed418379ca648fafab17326c61a562755e7ac1aaf9d407e5500599f0",
     "contrasts": "9af62625d3dc2665ad8c80a4202f195cc2a535e8036f9c85daa18e133f452ab8",
     "counts": "60dfaee9d0a20f57df8cf053495279b63be2521d9867948f03f1da5606f55ed9",
     "enumerate": "fe76c339b051957e538435d5dc52d83477f380c7f5ebeaa4ff09cd440599fc21",
