@@ -237,6 +237,8 @@ def _progress_to_stderr(enabled):
 def _read_analyze(args):
     cfg = _with_overrides(_load_json(args.config), args)
     spec, method, candidates, endpoint, seed = analysis_from_dict(cfg)
+    if args.exact and not method.is_randomization:
+        raise ValueError(f"--exact needs a randomization method; {method.id} has no exact test")
     data = read_trial_csv(args.data, grid=spec.grid, endpoint=endpoint)
     return partial(_run_analyze, args, cfg, data, method, candidates, spec, seed)
 

@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
@@ -53,51 +54,61 @@ class RankDeficientDesignError(ValueError):
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Model matrix: dose-indicator columns first, covariates after."""
+    """Model design: ``dose_columns`` arm indicators first, covariates after.
 
-    values: np.ndarray
+    Stored as the kernels take it: each patient's arm (all 0 without dose
+    columns) and the (n, q) covariate columns.  A design without dose
+    columns is the residual model, whose covariates start with the
+    intercept.  ``values`` is the dense matrix, derived once on demand.
+    """
+
+    arms: np.ndarray
     dose_columns: int
+    covariates: np.ndarray
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        x = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", x)
-        if x.ndim != 2:
-            raise ValueError("design matrix must be 2-dimensional")
-        if len(self.labels) != x.shape[1]:
-            raise ValueError("one label per design column required")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("design matrix contains non-finite values")
+        arms = np.asarray(self.arms)
+        cov = np.asarray(self.covariates, dtype=float)
+        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "covariates", cov)
         k = self.dose_columns
-        if k:
-            ind = x[:, :k]
-            if not (np.all((ind == 0) | (ind == 1)) and np.all(ind.sum(axis=1) == 1)):
-                raise ValueError("each row must activate exactly one dose indicator")
+        if arms.ndim != 1 or not np.issubdtype(arms.dtype, np.integer):
+            raise ValueError("arm assignments must be a 1-d integer vector")
+        if np.any((arms < 0) | (arms >= max(k, 1))):
+            raise ValueError(f"arm indices must lie in [0, {max(k, 1)})")
+        if cov.ndim != 2 or cov.shape[0] != arms.shape[0]:
+            raise ValueError(f"covariates must be an ({arms.shape[0]}, q) matrix")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("covariates contain non-finite values")
+        if not k and not (cov.shape[1] and np.all(cov[:, 0] == 1.0)):
+            raise ValueError("a design without dose columns needs an intercept column first")
+        if len(self.labels) != self.n_columns:
+            raise ValueError("one label per design column required")
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.arms.shape[0]
 
     @property
     def n_columns(self) -> int:
-        return self.values.shape[1]
+        return self.dose_columns + self.covariates.shape[1]
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The dense (n, k + q) model matrix."""
+        indicators = (self.arms[:, None] == np.arange(self.dose_columns)).astype(float)
+        return np.hstack([indicators, self.covariates])
 
 
 def design_from_assignments(arms, k: int, covariates=None) -> DesignMatrix:
     """Dose-indicator design (one column per arm) plus optional covariates."""
     arms = np.asarray(arms, dtype=int)
-    if arms.ndim != 1:
-        raise ValueError("arm assignments must be a 1-d vector")
-    if np.any((arms < 0) | (arms >= k)):
-        raise ValueError(f"arm indices must lie in [0, {k})")
-    cols = [np.eye(k)[arms]]
-    cov = _as_covariates(covariates, arms.shape[0])
-    if cov.shape[1]:
-        cols.append(cov)
+    cov = _as_covariates(covariates, arms.size)
     labels = tuple(f"arm_{j}" for j in range(k)) + tuple(
         f"x_{i + 1}" for i in range(cov.shape[1])
     )
-    return DesignMatrix(values=np.hstack(cols), dose_columns=k, labels=labels)
+    return DesignMatrix(arms=arms, dose_columns=k, covariates=cov, labels=labels)
 
 
 def covariate_design(covariates, n: int | None = None) -> DesignMatrix:
@@ -107,9 +118,9 @@ def covariate_design(covariates, n: int | None = None) -> DesignMatrix:
         if cov.shape[0] == 0:
             raise ValueError("need n when no covariates are given")
         n = cov.shape[0]
-    x = np.hstack([np.ones((n, 1)), cov]) if cov.shape[1] else np.ones((n, 1))
     labels = ("intercept",) + tuple(f"x_{i + 1}" for i in range(cov.shape[1]))
-    return DesignMatrix(values=x, dose_columns=0, labels=labels)
+    return DesignMatrix(arms=np.zeros(n, dtype=int), dose_columns=0,
+                        covariates=np.hstack([np.ones((n, 1)), cov]), labels=labels)
 
 
 def _as_covariates(covariates, n) -> np.ndarray:
@@ -204,17 +215,6 @@ def _check_outcome(design: DesignMatrix, y, family: str) -> np.ndarray:
     return y
 
 
-def _batch_of_one(design: DesignMatrix):
-    """``(arms_matrix, k, covariates)`` of a design, for the batched kernels.
-
-    The arms are read from the indicator columns; every other column,
-    an intercept included, is a shared covariate.
-    """
-    k = design.dose_columns
-    arms = np.argmax(design.values[:, :k], axis=1) if k else np.zeros(design.n, dtype=int)
-    return arms[None], k, design.values[:, k:]
-
-
 def fit_mle(design: DesignMatrix, y, family: str = "binomial") -> GlmFit:
     """Maximum likelihood fit: :func:`fit_mle_many` on a batch of one.
 
@@ -228,7 +228,7 @@ def fit_mle(design: DesignMatrix, y, family: str = "binomial") -> GlmFit:
     y = _check_outcome(design, y, family)
     if family == "gaussian":
         return _fit_gaussian(design, y)
-    fits = fit_mle_many(*_batch_of_one(design), y)
+    fits = fit_mle_many(design.arms[None], design.dose_columns, design.covariates, y)
     beta = fits.coefficients[0]
     converged = bool(fits.iterations[0] < MLE_MAX_ITER)
     notes = []
@@ -252,9 +252,9 @@ def fit_mle(design: DesignMatrix, y, family: str = "binomial") -> GlmFit:
 
 
 def _fit_gaussian(design: DesignMatrix, y: np.ndarray) -> GlmFit:
-    fits = fit_gaussian_many(*_batch_of_one(design), y)
+    fits = fit_gaussian_many(design.arms[None], design.dose_columns, design.covariates, y)
     beta = fits.coefficients[0]
-    n, p = design.values.shape
+    n, p = design.n, design.n_columns
     resid = y - design.values @ beta
     rss = float(resid @ resid)
     if n > p and rss > 0:
@@ -291,7 +291,7 @@ def fit_firth(design: DesignMatrix, y) -> GlmFit:
     ``separation`` reads ``unchecked``.
     """
     y = _check_outcome(design, y, "binomial")
-    designs = _BlockDesigns(*_batch_of_one(design))
+    designs = _BlockDesigns(design.arms[None], design.dose_columns, design.covariates)
     start = np.zeros((1, design.n_columns))
     (beta,), (pen,), (converged,), (iterations,), (cov,) = _firth_newton_many(designs, y, start)
     notes: list[str] = []
@@ -329,17 +329,15 @@ def detect_separation(design: DesignMatrix, y) -> str:
     ``(2y_i - 1) x_i'b > 0`` for every observation; quasicomplete means
     the weak version holds with equality somewhere (and a nonzero
     margin somewhere else).  Either way the logistic MLE does not
-    exist.  Designs of dose indicators, or of an intercept (one arm),
-    plus at most one covariate run :func:`separation_batch` as a batch
-    of one; every other design solves two small linear programs.
+    exist.  Runs :func:`separation_batch` as a batch of one; the
+    intercept of a design without dose columns is the indicator of its
+    one arm.
     """
     y = _validate_binary(np.asarray(y, dtype=float))
-    arms, k, x = _batch_of_one(design)
-    if not k and x.shape[1] and np.all(x[:, 0] == 1.0):
-        k, x = 1, x[:, 1:]  # the intercept is the indicator of one arm
-    if k < 1 or x.shape[1] > 1:
-        return _separation_lp(design.values, y)
-    return SEP_NAMES[int(separation_batch(arms, y, x, k)[0])]
+    k, x = design.dose_columns, design.covariates
+    if not k:
+        k, x = 1, x[:, 1:]
+    return SEP_NAMES[int(separation_batch(design.arms[None], y, x, k)[0])]
 
 
 def _separation_lp(x: np.ndarray, y: np.ndarray) -> str:
@@ -458,7 +456,7 @@ def population_average_means(fit: GlmFit, design: DesignMatrix) -> PopulationAve
     if k < 1:
         raise ValueError("population averages need a fit with dose-indicator columns")
     mu, cov = population_average_batch(fit.coefficients[None], fit.covariance[None], k,
-                                       design.values[:, k:])
+                                       design.covariates)
     return PopulationAverage(mu=mu[0], covariance=cov[0])
 
 

@@ -76,8 +76,8 @@ class TestMethod:
             raise ValueError(f"unknown p-value rule {self.pvalue_rule!r}")
         if self.id != "population" and self.n_rand < 1:
             raise ValueError("randomization methods need n_rand >= 1")
-        if self.df is not None and self.df <= 0:
-            raise ValueError("df must be positive when given")
+        if self.df is not None and not (np.isfinite(self.df) and self.df > 0):
+            raise ValueError(f"df must be finite and positive when given, not {self.df}")
 
     @property
     def number(self) -> int:
@@ -591,7 +591,14 @@ def analyze(
     rng: np.random.Generator | None = None,
     exact: bool = False,
 ) -> TestOutcome:
-    """Run one method on one dataset, dispatching on its kind."""
+    """Run one method on one dataset, dispatching on its kind.
+
+    ``exact=True`` enumerates the reference set of a randomization
+    method; the population method has none, so it raises ``ValueError``.
+    """
+    if exact and not method.is_randomization:
+        raise ValueError(f"the {method.id} method has no exact test; exact=True needs a "
+                         "randomization method")
     if method.id == "population":
         return population_test(data, candidates, method=method, rng=rng)
     if spec is None:

@@ -76,6 +76,9 @@ class ScenarioConfig:
         if self.time_trend not in TIME_TRENDS:
             raise ValueError(f"time_trend must be one of {TIME_TRENDS}")
         _check_size(self.n_sim, self.alpha)
+        self.truth_model()  # runs the calibration's and the candidate's checks
+        if not np.isfinite(self.covariate_coef):
+            raise ValueError(f"covariate_coef must be finite, not {self.covariate_coef}")
         methods = self.methods or default_methods(self.n_rand)
         methods = tuple(
             m if m.n_rand == self.n_rand or m.id == "population"

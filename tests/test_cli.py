@@ -224,6 +224,27 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("change, field", [
+        ({"pk": 1.5}, "pk"),
+        ({"emax_ed50": -3}, "theta2"),
+        ({"covariate_coef": math.nan}, "covariate_coef"),
+        ({"methods": [{"id": "population", "df": math.inf}]}, "df"),
+        ({"methods": [{"id": "population", "df": math.nan}]}, "df"),
+    ])
+    def test_invalid_truth_or_df_exits_2_before_any_trial(self, tiny_scenario, tmp_path,
+                                                          capsys, monkeypatch, change, field):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran before the config was rejected")
+
+        monkeypatch.setattr(simulate, "generate_binary_trial", no_trials)
+        config = json.loads(tiny_scenario.read_text())
+        config.update(change)
+        tiny_scenario.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", str(tiny_scenario),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("RANDMCP_WORKERS", raising=False)
         monkeypatch.setattr(cli, "available_cpus", lambda: 3)
@@ -354,6 +375,15 @@ class TestAnalyzeCommand:
                        "--method", "residual_mle", "--exact", "--out", str(out)) == 0
         result = json.loads(out.read_text())
         assert result["p_value"] == pytest.approx(1 / 6)
+
+    def test_exact_population_exits_2(self, two_arm_config, tmp_path, capsys):
+        trial = tmp_path / "trial.csv"
+        write_two_arm_trial(trial, [1, 0, 1, 1, 0, 1, 0, 0])
+        out = tmp_path / "res.json"
+        assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config),
+                       "--method", "population", "--exact", "--out", str(out)) == 2
+        assert "--exact needs a randomization method; population" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_dose_level_exits_2(self, two_arm_config, tmp_path):
         trial = tmp_path / "trial.csv"

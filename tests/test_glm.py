@@ -38,6 +38,38 @@ from oracles import (
 )
 
 
+class TestDesignMatrix:
+    ARMS = np.array([0, 1, 2, 1])
+    X = np.array([[0.5], [1.0], [-2.0], [0.0]])
+    LABELS = ("arm_0", "arm_1", "arm_2", "x_1")
+
+    def test_values_are_indicators_then_covariates(self):
+        design = DesignMatrix(arms=self.ARMS, dose_columns=3, covariates=self.X,
+                              labels=self.LABELS)
+        assert np.array_equal(design.values, np.hstack([np.eye(3)[self.ARMS], self.X]))
+        assert (design.n, design.n_columns) == (4, 4)
+        residual = covariate_design(self.X)
+        assert np.array_equal(residual.values, np.hstack([np.ones((4, 1)), self.X]))
+        assert not residual.arms.any() and residual.dose_columns == 0
+
+    @pytest.mark.parametrize("change, message", [
+        ({"arms": np.array([0, 1, 3, 1])}, r"\[0, 3\)"),
+        ({"arms": np.array([0, -1, 2, 1])}, r"\[0, 3\)"),
+        ({"arms": np.array([0.0, 1.0, 2.0, 1.0])}, "integer"),
+        ({"covariates": X[:3]}, r"\(4, q\)"),
+        ({"covariates": np.array([[0.5], [np.nan], [-2.0], [0.0]])}, "non-finite"),
+        ({"covariates": np.array([[0.5], [1.0], [np.inf], [0.0]])}, "non-finite"),
+        ({"labels": LABELS[:3]}, "one label per design column"),
+        ({"arms": np.zeros(4, dtype=int), "dose_columns": 0,
+          "labels": ("intercept",)}, "intercept column first"),
+    ])
+    def test_hand_built_design_is_validated(self, change, message):
+        fields = {"arms": self.ARMS, "dose_columns": 3, "covariates": self.X,
+                  "labels": self.LABELS, **change}
+        with pytest.raises(ValueError, match=message):
+            DesignMatrix(**fields)
+
+
 class TestMleBinary:
     def test_all_zero_outcomes_flagged_diverging(self):
         design = covariate_design(None, n=12)
@@ -116,13 +148,14 @@ class TestGaussian:
 
 @st.composite
 def separation_problems(draw):
-    """Arms (B, n) over k = 1..5, q = 0..1 covariates and binary outcomes.
+    """Arms (B, n) over k = 1..5, q = 0..2 covariates and binary outcomes.
 
-    k = 1 is the covariate-only design, its intercept the one arm.  The
-    covariate is rounded to provoke ties, and some rows lose an arm.
+    k = 1 is the covariate-only design, its intercept the one arm; q = 2
+    takes the linear-program route.  The covariates are rounded to
+    provoke ties, and some rows lose an arm.
     """
     k = draw(st.integers(1, 5))
-    q = draw(st.integers(0, 1))
+    q = draw(st.integers(0, 2))
     n = draw(st.integers(2 * k + 2, 30))
     b = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -537,7 +570,7 @@ class TestBlockStructuredKernels:
             arms = rng.integers(0, 4, size=n)
             y = (rng.random(n) < expit(-1.0 + 0.8 * x)).astype(float)
             design = design_from_assignments(arms, 4, x) if with_arms else covariate_design(x)
-            designs = glm._BlockDesigns(*glm._batch_of_one(design))
+            designs = glm._BlockDesigns(design.arms[None], design.dose_columns, design.covariates)
             beta = glm._firth_newton_many(designs, y, np.zeros((1, design.n_columns)))[0][0]
             starts = np.stack([2.0 * beta, 4.0 * beta])
             both = glm._firth_newton_many(designs.take([0, 0]), y, starts)

@@ -645,6 +645,23 @@ class TestMethodValidation:
         assert 0.0 <= p <= 1.0
         assert np.isfinite(err)
 
+    @pytest.mark.parametrize("df", [0.0, -3.0, float("inf"), float("nan")])
+    def test_df_must_be_finite_and_positive(self, df):
+        with pytest.raises(ValueError, match="df must be finite and positive"):
+            TestMethod(id="population", df=df)
+
+    def test_exact_population_raises_before_any_fit(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before rejecting exact=True")
+
+        monkeypatch.setattr(inference.glm, "fit_mle", no_fit)
+        spec = RandomizationSpec(procedure="ra", grid=GRID4, n=12, targets=(3, 3, 3, 3))
+        data = toy_dataset(np.repeat(np.arange(4), 3), np.arange(12.0), GRID4,
+                           endpoint="continuous")
+        with pytest.raises(ValueError, match="population method has no exact test"):
+            analyze(data, TestMethod(id="population"), default_candidate_set(), spec=spec,
+                    rng=substream(78, 0), exact=True)
+
 
 class TestPopulationTest:
     def _trial_data(self, seed=0, pk=0.8, n=49):
