@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import qr as scipy_qr
-from scipy.optimize import linprog
 from scipy.special import expit
 
 SCORE_TOL = 1e-8
@@ -341,6 +340,8 @@ def detect_separation(design: DesignMatrix, y) -> str:
 
 
 def _separation_lp(x: np.ndarray, y: np.ndarray) -> str:
+    from scipy.optimize import linprog  # imported here: only q >= 2 designs reach it
+
     signed = (2.0 * y - 1.0)[:, None] * x
     # Row normalization makes the margin variable a geometric quantity.
     norms = np.linalg.norm(signed, axis=1)

@@ -17,9 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtr, chdtrc, fdtr, fdtrc, ndtri
-from scipy.stats import norm, qmc
-from scipy.stats import t as student_t
+from scipy.special import chdtr, chdtrc, fdtr, fdtrc, ndtr, ndtri, stdtr
 
 from . import contrasts, glm
 from .contrasts import (  # optimal_contrast is uncalled here; perfbench/trace.py patches it
@@ -510,13 +508,16 @@ def max_tail_probability(
     """
     corr = np.round(np.atleast_2d(np.asarray(corr, dtype=float)), 12)
     if corr.shape[0] == 1:
-        tail = norm.sf(threshold) if df is None else student_t.sf(threshold, df)
+        # scipy.stats' norm.sf and t.sf are exactly these calls.
+        tail = ndtr(-threshold) if df is None else stdtr(df, -threshold)
         return float(tail), 0.0, False
     eigval, eigvec = np.linalg.eigh(corr)
     repaired = bool(eigval.min() < -1e-10)
     kept = eigval >= 1e-10 * eigval.max()
     loadings = eigvec[:, kept] * np.sqrt(eigval[kept])  # (m, r)
     r = loadings.shape[1]
+
+    from scipy.stats import qmc  # imported here: scipy.stats costs ~0.5 s to import
 
     rng = rng or np.random.default_rng()
     pairs = 1 << max(int(np.ceil(np.log2(max(points, 2 * reps) / (2 * reps)))), 3)

@@ -76,6 +76,8 @@ class ScenarioConfig:
         if self.time_trend not in TIME_TRENDS:
             raise ValueError(f"time_trend must be one of {TIME_TRENDS}")
         _check_size(self.n_sim, self.alpha)
+        if not 0.0 < self.emax_ed50 < np.inf:
+            raise ValueError(f"emax_ed50 must be positive and finite, not {self.emax_ed50}")
         self.truth_model()  # runs the calibration's and the candidate's checks
         if not np.isfinite(self.covariate_coef):
             raise ValueError(f"covariate_coef must be finite, not {self.covariate_coef}")
@@ -316,6 +318,12 @@ def _run_study(study: _Study, workers: int, progress, **fields) -> StudyResult:
         raise ValueError(f"workers must be at least 1, not {workers}")
     if workers > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        # The package imports these two only where it calls them.  Loaded
+        # here, forked workers inherit them instead of each importing
+        # scipy.stats again on its first population test.
+        import scipy.optimize  # noqa: F401
+        import scipy.stats  # noqa: F401
 
         chunks, done = {}, 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -570,7 +578,29 @@ def spec_from_dict(d: dict) -> RandomizationSpec:
     """The randomization procedure a config declares under ``_SPEC_KEYS``."""
     design = {key: tuple(d[key]) for key in ("targets", "block", "probs", "weights") if key in d}
     return RandomizationSpec(procedure=d["procedure"], grid=DoseGrid(doses=tuple(d["doses"])),
-                             n=int(d["n"]), **design)
+                             n=_config_int(d, "n"), **design)
+
+
+def _config_int(d: dict, key: str, default: int | None = None) -> int:
+    """Config field ``key`` as an integer; without a ``default`` the field is required.
+
+    A float, bool or string, or a negative ``seed``, raises a ValueError
+    naming the field.
+    """
+    val = d[key] if default is None else d.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, not {val!r}")
+    if key == "seed" and val < 0:
+        raise ValueError(f"seed must be at least 0, not {val}")
+    return int(val)
+
+
+def _config_bool(d: dict, key: str, default: bool | None = None) -> bool:
+    """Config field ``key`` as a JSON boolean, ``default`` when absent."""
+    val = d[key] if default is None else d.get(key, default)
+    if not isinstance(val, bool):
+        raise ValueError(f"{key} must be true or false, not {val!r}")
+    return val
 
 
 def _reject_unknown(d: dict, known: set[str], what: str) -> None:
@@ -588,7 +618,7 @@ def _methods_from_entries(entries, n_rand: int) -> tuple[TestMethod, ...]:
     for entry in entries:
         entry = {"id": entry} if isinstance(entry, str) else dict(entry)
         _reject_unknown(entry, {f.name for f in fields(TestMethod)}, "method entry")
-        entry["n_rand"] = int(entry.get("n_rand", n_rand))
+        entry["n_rand"] = _config_int(entry, "n_rand", n_rand)
         methods.append(TestMethod(**entry))
     ids = [m.id for m in methods]
     duplicated = sorted({mid for mid in ids if ids.count(mid) > 1})
@@ -614,8 +644,10 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         raise ValueError("a scenario method entry cannot set n_rand: "
                          "the scenario's n_rand governs every method")
     spec = spec_from_dict(d)
-    n_rand = int(d.get("n_rand", 1000))
-    rest = {key: val for key, val in d.items()
+    n_rand = _config_int(d, "n_rand", 1000)
+    checked = {"n_sim": _config_int, "seed": _config_int,
+               "covariate_in_analysis": _config_bool}
+    rest = {key: checked[key](d, key) if key in checked else val for key, val in d.items()
             if key not in (*_SPEC_KEYS, "n_rand", "methods", "candidates")}
     return ScenarioConfig(
         spec=spec, n_rand=n_rand, methods=_methods_from_entries(entries, n_rand),
@@ -631,7 +663,7 @@ def replay_from_dict(d: dict, base: Path) -> dict:
     """
     _reject_unknown(d, _REPLAY_KEYS, "potential-outcomes config")
     spec = spec_from_dict(d)
-    n_rand = int(d.get("n_rand", 1000))
+    n_rand = _config_int(d, "n_rand", 1000)
     study = {
         "table": read_potential_outcomes_csv(base / d["potential_outcomes"],
                                              endpoint=d.get("endpoint", "continuous")),
@@ -640,10 +672,10 @@ def replay_from_dict(d: dict, base: Path) -> dict:
                                          n_rand),
         "candidates": _candidates(d, spec.grid, wide_range_candidate_set(spec.grid.doses[-1])),
         "alpha": float(d.get("alpha", 0.05)),
-        "n_sim": int(d.get("n_sim", 1000)),
-        "seed": int(d.get("seed", 1)),
-        "include_baseline_covariate": bool(d.get("include_baseline_covariate", True)),
-        "sort_by_baseline": bool(d.get("sort_by_baseline", False)),
+        "n_sim": _config_int(d, "n_sim", 1000),
+        "seed": _config_int(d, "seed", 1),
+        "include_baseline_covariate": _config_bool(d, "include_baseline_covariate", True),
+        "sort_by_baseline": _config_bool(d, "sort_by_baseline", False),
         "name": d.get("name", "potential_outcomes"),
     }
     _replay_study(**study)
@@ -654,10 +686,11 @@ def analysis_from_dict(d: dict) -> tuple[RandomizationSpec, TestMethod, Candidat
     """Procedure, method, candidates, endpoint and seed of an analysis config."""
     _reject_unknown(d, _ANALYSIS_KEYS, "analysis config")
     spec = spec_from_dict(d)
-    method = TestMethod(id=d.get("method", "residual_firth"), n_rand=int(d.get("n_rand", 1000)),
+    method = TestMethod(id=d.get("method", "residual_firth"),
+                        n_rand=_config_int(d, "n_rand", 1000),
                         pvalue_rule=d.get("pvalue_rule", "plain"))
     return (spec, method, _candidates(d, spec.grid, default_candidate_set()),
-            d.get("endpoint", "binary"), int(d.get("seed", 1)))
+            d.get("endpoint", "binary"), _config_int(d, "seed", 1))
 
 
 def contrasts_from_dict(d: dict) -> tuple[DoseGrid, ContrastMatrix]:

@@ -226,10 +226,11 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("change, field", [
         ({"pk": 1.5}, "pk"),
-        ({"emax_ed50": -3}, "theta2"),
+        ({"emax_ed50": -3}, "emax_ed50"),
         ({"covariate_coef": math.nan}, "covariate_coef"),
         ({"methods": [{"id": "population", "df": math.inf}]}, "df"),
         ({"methods": [{"id": "population", "df": math.nan}]}, "df"),
+        ({"emax_ed50": 0}, "emax_ed50"),
     ])
     def test_invalid_truth_or_df_exits_2_before_any_trial(self, tiny_scenario, tmp_path,
                                                           capsys, monkeypatch, change, field):
@@ -243,6 +244,45 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", str(tiny_scenario),
                        "--out", str(tmp_path / "o"), "--workers", "1") == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_rand": 1.5}, "n_rand must be an integer, not 1.5"),
+        ({"n_sim": 2.5}, "n_sim must be an integer, not 2.5"),
+        ({"n_sim": "4"}, "n_sim must be an integer, not '4'"),
+        ({"n": 49.0}, "n must be an integer, not 49.0"),
+        ({"seed": 1.7}, "seed must be an integer, not 1.7"),
+        ({"seed": True}, "seed must be an integer, not True"),
+        ({"seed": -1}, "seed must be at least 0, not -1"),
+        ({"covariate_in_analysis": "no"}, "covariate_in_analysis must be true or false"),
+        ({"covariate_in_analysis": 0}, "covariate_in_analysis must be true or false"),
+    ])
+    def test_mistyped_scenario_field_exits_2(self, tiny_scenario, tmp_path, capsys,
+                                             change, message):
+        config = json.loads(tiny_scenario.read_text())
+        config.update(change)
+        tiny_scenario.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", str(tiny_scenario),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_rand": 1.5}, "n_rand must be an integer, not 1.5"),
+        ({"methods": [{"id": "residual_mle", "n_rand": 2.5}]},
+         "n_rand must be an integer, not 2.5"),
+        ({"n_sim": 2.5}, "n_sim must be an integer, not 2.5"),
+        ({"n": 20.0}, "n must be an integer, not 20.0"),
+        ({"seed": -1}, "seed must be at least 0, not -1"),
+        ({"include_baseline_covariate": "false"},
+         "include_baseline_covariate must be true or false"),
+        ({"sort_by_baseline": 1}, "sort_by_baseline must be true or false"),
+    ])
+    def test_mistyped_replay_field_exits_2(self, replay_config, tmp_path, capsys,
+                                           change, message):
+        assert run_cli("simulate", "--config", str(replay_config(**change)),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
@@ -428,6 +468,25 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config),
                        "--out", str(tmp_path / "file.json")) == 0
         assert (tmp_path / "flags.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_rand": 1.5}, "n_rand must be an integer, not 1.5"),
+        ({"n": 8.0}, "n must be an integer, not 8.0"),
+        ({"seed": 1.7}, "seed must be an integer, not 1.7"),
+        ({"seed": -1}, "seed must be at least 0, not -1"),
+    ])
+    def test_mistyped_config_field_exits_2(self, two_arm_config, tmp_path, capsys,
+                                           change, message):
+        config = json.loads(two_arm_config.read_text())
+        config.update(change)
+        two_arm_config.write_text(json.dumps(config))
+        trial = tmp_path / "trial.csv"
+        write_two_arm_trial(trial, [1, 0, 1, 1, 0, 1, 0, 0])
+        out = tmp_path / "res.json"
+        assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config),
+                       "--method", "residual_mle", "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_method_exits_2(self, two_arm_config, tmp_path):
         trial = tmp_path / "trial.csv"

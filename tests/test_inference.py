@@ -514,6 +514,10 @@ class TestMaxTailProbability:
         assert p == norm.sf(1.3)
         assert err == 0.0
         assert not repaired
+        p, err, repaired = max_tail_probability(1.3, np.eye(1), df=44.0)
+        assert p == student_t.sf(1.3, 44)
+        assert err == 0.0
+        assert not repaired
 
     def test_perfectly_correlated_pair_collapses(self):
         corr = np.array([[1.0, 1.0], [1.0, 1.0]])
