@@ -13,6 +13,7 @@ multivariate normal reference with the estimated contrast correlation.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -486,6 +487,59 @@ def _radial_tail(t: float, g: np.ndarray, r: int, df: float | None) -> np.ndarra
     return out
 
 
+_SOBOL_BITS = 30  # scipy's default Sobol precision
+
+
+@functools.lru_cache(maxsize=None)
+def _sobol_directions(d: int, m: int) -> np.ndarray:
+    """The first ``m`` unscrambled Sobol direction numbers per dimension, (d, m) uint32.
+
+    Point 2^(b+1) - 1 of the unscrambled sequence is direction number b,
+    since the Gray code of that index has bit b alone set.
+    """
+    from scipy.stats import qmc  # imported here: scipy.stats costs ~0.5 s to import
+
+    points = qmc.Sobol(d, scramble=False).random(1 << m)
+    directions = (points[(2 << np.arange(m)) - 1] * 2.0 ** _SOBOL_BITS).astype(np.uint32).T
+    directions.flags.writeable = False  # shared by every caller through the cache
+    return directions
+
+
+def _scrambled_sobol(d: int, seeds, n: int) -> np.ndarray:
+    """``qmc.Sobol(d, scramble=True, seed=s).random(n)`` for each seed s, as (seeds, n, d).
+
+    Each seed's generator draws, in scipy's order, a digital shift and
+    per dimension a lower-triangular GF(2) matrix with unit diagonal,
+    which left-multiplies the bits of each direction number, most
+    significant first (Matousek's linear matrix scramble).  A float
+    product of 0/1 values is exact, so one float matrix product, mod 2,
+    scrambles every seed.  Point i XORs the shift with the scrambled
+    direction numbers of the bits of i's Gray code; the Gray code of
+    2^b + j is that of 2^b - 1 - j with bit b set, so each block of
+    points reflects the one before it.
+    """
+    bits, m = _SOBOL_BITS, (n - 1).bit_length()
+    weights = 2.0 ** np.arange(bits)
+    shift = np.empty((len(seeds), d), dtype=np.uint32)
+    lower = np.empty((len(seeds), d, bits, bits))
+    for i, seed in enumerate(seeds):
+        draw = np.random.default_rng(seed)
+        shift[i] = draw.integers(0, 2, size=(d, bits), dtype=np.uint32) @ weights
+        lower[i] = draw.integers(0, 2, size=(d, bits, bits), dtype=np.uint32)
+    lower = np.tril(lower)
+    lower[..., np.arange(bits), np.arange(bits)] = 1.0
+    msb_first = np.arange(bits - 1, -1, -1)
+    v_bits = (_sobol_directions(d, m)[:, None, :] >> msb_first[:, None]) & 1  # (d, bits, m)
+    scrambled_bits = (lower @ v_bits).astype(np.uint32) & 1  # (seeds, d, bits, m)
+    scrambled = (weights[::-1] @ scrambled_bits).astype(np.uint32)  # (seeds, d, m)
+    x = np.zeros((1 << m, len(seeds), d), dtype=np.uint32)
+    for b in range(m):
+        half = 1 << b
+        np.bitwise_xor(x[half - 1::-1], scrambled[..., b], out=x[half:2 * half])
+    x ^= shift
+    return np.multiply(x[:n].transpose(1, 0, 2), 2.0 ** -bits, order="C")
+
+
 def max_tail_probability(
     threshold: float,
     corr: np.ndarray,
@@ -501,11 +555,19 @@ def max_tail_probability(
     the r-sphere and a chi_r radius R, whose tail has a closed form.
     Only ``points`` directions are sampled, as antithetic pairs from
     ``reps`` scrambled Sobol replicates; their spread is the reported
-    error.  A finite ``df`` gives the multivariate t.  ``corr`` is
-    rounded to 12 decimals and eigenvalues below 1e-10 of the largest
-    are dropped, so rounding noise in a rank-deficient correlation
-    leaves p unchanged; one below -1e-10 flags it as repaired.
+    error.  Replicate i is scipy's ``qmc.Sobol(r, scramble=True,
+    seed=s_i)`` with s_i drawn from ``rng``, built bit for bit by
+    ``_scrambled_sobol``, and all replicates go through one pass.  A
+    finite ``df`` gives the multivariate t.  ``corr`` is rounded to 12
+    decimals and eigenvalues below 1e-10 of the largest are dropped, so
+    rounding noise in a rank-deficient correlation leaves p unchanged;
+    one below -1e-10 flags it as repaired.  A NaN ``threshold`` or
+    ``reps`` below 2 (no error estimate) raises ``ValueError``.
     """
+    if np.isnan(threshold):
+        raise ValueError("threshold must be a number or +-inf, not NaN")
+    if reps < 2:
+        raise ValueError(f"reps must be at least 2 for an error estimate, not {reps}")
     corr = np.round(np.atleast_2d(np.asarray(corr, dtype=float)), 12)
     if corr.shape[0] == 1:
         # scipy.stats' norm.sf and t.sf are exactly these calls.
@@ -517,17 +579,25 @@ def max_tail_probability(
     loadings = eigvec[:, kept] * np.sqrt(eigval[kept])  # (m, r)
     r = loadings.shape[1]
 
-    from scipy.stats import qmc  # imported here: scipy.stats costs ~0.5 s to import
-
     rng = rng or np.random.default_rng()
     pairs = 1 << max(int(np.ceil(np.log2(max(points, 2 * reps) / (2 * reps)))), 3)
-    estimates = np.empty(reps)
-    for rep in range(reps):
-        engine = qmc.Sobol(d=r, scramble=True, seed=int(rng.integers(2 ** 63)))
-        z = ndtri(np.clip(engine.random(pairs), 1e-15, 1 - 1e-15))
-        proj = (z / np.linalg.norm(z, axis=1, keepdims=True)) @ loadings.T
-        g = np.concatenate([proj.max(axis=1), -proj.min(axis=1)])
-        estimates[rep] = np.mean(_radial_tail(threshold, g, r, df))
+    seeds = [int(rng.integers(2 ** 63)) for _ in range(reps)]
+    z = ndtri(np.clip(_scrambled_sobol(r, seeds, pairs), 1e-15, 1 - 1e-15)).reshape(-1, r)
+    squares = z * z
+    # np.linalg.norm's row sums: fewer than 8 terms one by one, more pairwise.
+    if r < 8:
+        norm2 = squares[:, 0].copy()
+        for column in squares.T[1:]:
+            norm2 += column
+    else:
+        norm2 = np.add.reduce(squares, axis=1)
+    proj = (z / np.sqrt(norm2)[:, None]) @ loadings.T
+    hi, lo = proj[:, 0].copy(), proj[:, 0].copy()
+    for column in proj.T[1:]:
+        np.maximum(hi, column, out=hi)
+        np.minimum(lo, column, out=lo)
+    g = np.concatenate([hi.reshape(reps, pairs), -lo.reshape(reps, pairs)], axis=1)
+    estimates = _radial_tail(threshold, g, r, df).mean(axis=1)
     p = float(np.clip(estimates.mean(), 0.0, 1.0))
     err = float(estimates.std(ddof=1) / np.sqrt(reps))
     return p, err, repaired

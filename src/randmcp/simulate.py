@@ -595,6 +595,19 @@ def _config_int(d: dict, key: str, default: int | None = None) -> int:
     return int(val)
 
 
+def _config_float(d: dict, key: str, default: float | None = None) -> float:
+    """Config field ``key`` as a finite float; without a ``default`` the field is required.
+
+    A bool, string or other non-number, NaN or an infinity raises a
+    ValueError naming the field.
+    """
+    val = d[key] if default is None else d.get(key, default)
+    if isinstance(val, bool) or not isinstance(val, (int, float, np.integer, np.floating)) \
+            or not np.isfinite(val):
+        raise ValueError(f"{key} must be a finite number, not {val!r}")
+    return float(val)
+
+
 def _config_bool(d: dict, key: str, default: bool | None = None) -> bool:
     """Config field ``key`` as a JSON boolean, ``default`` when absent."""
     val = d[key] if default is None else d.get(key, default)
@@ -646,7 +659,9 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     spec = spec_from_dict(d)
     n_rand = _config_int(d, "n_rand", 1000)
     checked = {"n_sim": _config_int, "seed": _config_int,
-               "covariate_in_analysis": _config_bool}
+               "covariate_in_analysis": _config_bool,
+               **dict.fromkeys(("alpha", "p0", "pk", "emax_ed50", "covariate_coef"),
+                               _config_float)}
     rest = {key: checked[key](d, key) if key in checked else val for key, val in d.items()
             if key not in (*_SPEC_KEYS, "n_rand", "methods", "candidates")}
     return ScenarioConfig(
@@ -671,7 +686,7 @@ def replay_from_dict(d: dict, base: Path) -> dict:
         "methods": _methods_from_entries(d.get("methods", ["population", "residual_mle"]),
                                          n_rand),
         "candidates": _candidates(d, spec.grid, wide_range_candidate_set(spec.grid.doses[-1])),
-        "alpha": float(d.get("alpha", 0.05)),
+        "alpha": _config_float(d, "alpha", 0.05),
         "n_sim": _config_int(d, "n_sim", 1000),
         "seed": _config_int(d, "seed", 1),
         "include_baseline_covariate": _config_bool(d, "include_baseline_covariate", True),

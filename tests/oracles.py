@@ -8,13 +8,16 @@ recompute every quantity where they use it; the kernels must match
 them bit for bit.  The reference-set generator is the earlier
 per-sequence recursion that the chunked enumerator must reproduce row
 for row.  The population statistic is the earlier per-shape loop that
-the shared contrast kernel replaced.
+the shared contrast kernel replaced.  The population reference integral
+is the earlier loop of one scipy Sobol engine per replicate, which the
+batched in-package scramble must match bit for bit.
 """
 from itertools import product
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit
+from scipy.special import expit, ndtr, ndtri, stdtr
+from scipy.stats import qmc
 
 from randmcp import glm
 from randmcp.contrasts import optimal_contrast, shape_matrix
@@ -32,6 +35,7 @@ from randmcp.glm import (
     _BlockDesigns,
     batch_solve,
 )
+from randmcp.inference import _radial_tail
 from randmcp.randomization import (
     CR,
     ENUMERATION_CAP,
@@ -380,3 +384,28 @@ def population_statistic_reference(data, candidates):
     corr = cross / np.outer(scale, scale)
     np.fill_diagonal(corr, 1.0)
     return t_vec, c, corr
+
+
+def max_tail_probability_reference(threshold, corr, points=1 << 14, reps=8, rng=None, df=None):
+    """``inference.max_tail_probability`` with one scipy Sobol engine per replicate."""
+    corr = np.round(np.atleast_2d(np.asarray(corr, dtype=float)), 12)
+    if corr.shape[0] == 1:
+        tail = ndtr(-threshold) if df is None else stdtr(df, -threshold)
+        return float(tail), 0.0, False
+    eigval, eigvec = np.linalg.eigh(corr)
+    repaired = bool(eigval.min() < -1e-10)
+    kept = eigval >= 1e-10 * eigval.max()
+    loadings = eigvec[:, kept] * np.sqrt(eigval[kept])
+    r = loadings.shape[1]
+    rng = rng or np.random.default_rng()
+    pairs = 1 << max(int(np.ceil(np.log2(max(points, 2 * reps) / (2 * reps)))), 3)
+    estimates = np.empty(reps)
+    for rep in range(reps):
+        engine = qmc.Sobol(d=r, scramble=True, seed=int(rng.integers(2 ** 63)))
+        z = ndtri(np.clip(engine.random(pairs), 1e-15, 1 - 1e-15))
+        proj = (z / np.linalg.norm(z, axis=1, keepdims=True)) @ loadings.T
+        g = np.concatenate([proj.max(axis=1), -proj.min(axis=1)])
+        estimates[rep] = np.mean(_radial_tail(threshold, g, r, df))
+    p = float(np.clip(estimates.mean(), 0.0, 1.0))
+    err = float(estimates.std(ddof=1) / np.sqrt(reps))
+    return p, err, repaired

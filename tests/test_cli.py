@@ -256,6 +256,12 @@ class TestSimulateCommand:
         ({"seed": -1}, "seed must be at least 0, not -1"),
         ({"covariate_in_analysis": "no"}, "covariate_in_analysis must be true or false"),
         ({"covariate_in_analysis": 0}, "covariate_in_analysis must be true or false"),
+        ({"alpha": "0.1"}, "alpha must be a finite number, not '0.1'"),
+        ({"p0": "0.2"}, "p0 must be a finite number, not '0.2'"),
+        ({"pk": True}, "pk must be a finite number, not True"),
+        ({"emax_ed50": "10"}, "emax_ed50 must be a finite number, not '10'"),
+        ({"covariate_coef": [0.6]}, "covariate_coef must be a finite number, not [0.6]"),
+        ({"p0": math.inf}, "p0 must be a finite number, not inf"),
     ])
     def test_mistyped_scenario_field_exits_2(self, tiny_scenario, tmp_path, capsys,
                                              change, message):
@@ -277,6 +283,9 @@ class TestSimulateCommand:
         ({"include_baseline_covariate": "false"},
          "include_baseline_covariate must be true or false"),
         ({"sort_by_baseline": 1}, "sort_by_baseline must be true or false"),
+        ({"alpha": "0.5"}, "alpha must be a finite number, not '0.5'"),
+        ({"alpha": False}, "alpha must be a finite number, not False"),
+        ({"alpha": math.nan}, "alpha must be a finite number, not nan"),
     ])
     def test_mistyped_replay_field_exits_2(self, replay_config, tmp_path, capsys,
                                            change, message):

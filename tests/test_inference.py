@@ -2,9 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import norm
+from scipy.stats import norm, qmc
 from scipy.stats import t as student_t
 
 from randmcp import inference
@@ -45,7 +45,12 @@ from randmcp.presets import load_preset
 from randmcp.rng import substream
 from randmcp.simulate import generate_binary_trial, synthetic_potential_table
 
-from oracles import enumerated, population_statistic_reference, separation_lp
+from oracles import (
+    enumerated,
+    max_tail_probability_reference,
+    population_statistic_reference,
+    separation_lp,
+)
 
 GRID4 = DoseGrid(doses=(0.0, 10.0, 25.0, 100.0))
 GRID2 = DoseGrid(doses=(0.0, 100.0))
@@ -641,8 +646,67 @@ class TestMaxTailProbability:
         p_hi, _, _ = max_tail_probability(hi, corr, points=1 << 10, rng=substream(3, seed), df=df)
         assert p_lo >= p_hi
 
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(2, 8), rank=st.integers(1, 8), corr_seed=st.integers(0, 2 ** 32),
+           ulp_noise=st.booleans(),
+           t=st.one_of(st.just(0.0), st.floats(-3.0, 4.0)),
+           df=st.one_of(st.none(), st.floats(1.0, 100.0)),
+           points=st.integers(1, 1 << 17), reps=st.integers(2, 8),
+           seed=st.integers(0, 2 ** 32))
+    @example(m=8, rank=8, corr_seed=1, ulp_noise=False, t=1.2, df=None, points=1 << 14,
+             reps=8, seed=0)  # r = 8, where numpy's norm adds pairwise
+    @example(m=5, rank=3, corr_seed=2, ulp_noise=True, t=-0.4, df=44.0, points=1 << 17,
+             reps=2, seed=1)
+    def test_batched_replicates_equal_the_per_engine_loop(self, m, rank, corr_seed, ulp_noise,
+                                                          t, df, points, reps, seed):
+        rng = np.random.default_rng(corr_seed)
+        factor = rng.normal(size=(m, min(rank, m)))
+        cross = factor @ factor.T
+        scale = np.sqrt(np.diag(cross))
+        corr = cross / np.outer(scale, scale)
+        np.fill_diagonal(corr, 1.0)
+        if ulp_noise:  # rounding noise that leaves a rank-deficient corr indefinite
+            upper = np.triu_indices(m, 1)
+            for i, j, d in zip(*upper, rng.choice([-1.0, 0.0, 1.0], size=upper[0].size)):
+                if d:
+                    corr[i, j] = corr[j, i] = np.nextafter(corr[i, j], 2.0 * d)
+        got = max_tail_probability(t, corr, points=points, reps=reps,
+                                   rng=np.random.default_rng(seed), df=df)
+        want = max_tail_probability_reference(t, corr, points=points, reps=reps,
+                                              rng=np.random.default_rng(seed), df=df)
+        assert got == want
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("n", [8, 13, 1024, 4096])
+    def test_scrambled_sobol_equals_scipy(self, d, n):
+        seeds = [0, 1, 12345, 2 ** 31 - 1, 2 ** 32, 2 ** 63 - 1]
+        seeds += [int(s) for s in np.random.default_rng(d * n).integers(2 ** 63, size=3)]
+        got = inference._scrambled_sobol(d, seeds, n)
+        assert got.shape == (len(seeds), n, d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # n = 13 is not a power of 2
+            for points, seed in zip(got, seeds):
+                want = qmc.Sobol(d, scramble=True, seed=seed).random(n)
+                assert np.array_equal(points, want)
+
+    @pytest.mark.parametrize("t, want", [(np.inf, 0.0), (-np.inf, 1.0)])
+    @pytest.mark.parametrize("df", [None, 44.0])
+    def test_infinite_threshold_gives_certain_tail(self, t, want, df):
+        assert max_tail_probability(t, trial_corr(), rng=substream(1, 10), df=df) \
+            == (want, 0.0, False)
+
 
 class TestMethodValidation:
+    @pytest.mark.parametrize("reps", [1, 0])
+    def test_fewer_than_two_replicates_raise(self, reps):
+        with pytest.raises(ValueError, match=f"reps must be at least 2 .*not {reps}"):
+            max_tail_probability(1.0, trial_corr(), reps=reps, rng=substream(1, 11))
+
+    @pytest.mark.parametrize("corr", [trial_corr(), np.eye(1)])
+    def test_nan_threshold_raises(self, corr):
+        with pytest.raises(ValueError, match="threshold must be a number or \\+-inf, not NaN"):
+            max_tail_probability(float("nan"), corr, rng=substream(1, 12))
+
     def test_smallest_budget_reports_finite_error(self):
         p, err, _ = max_tail_probability(1.0, trial_corr(), points=1, reps=2,
                                          rng=substream(1, 9))
