@@ -45,7 +45,7 @@ _MAX_REDRAW_ROUNDS = 1000
 
 
 class DegenerateVarianceError(RuntimeError):
-    """An arm received fewer than two patients; residual variances are undefined."""
+    """An arm has fewer patients than the statistic needs (two, or one for a refit)."""
 
 
 class ResidualModelError(RuntimeError):
@@ -77,6 +77,10 @@ class TestMethod:
             raise ValueError("randomization methods need n_rand >= 1")
         if self.df is not None and not (np.isfinite(self.df) and self.df > 0):
             raise ValueError(f"df must be finite and positive when given, not {self.df}")
+        if self.is_randomization and self.df is not None:
+            raise ValueError(f"df sets the population reference; the {self.id} method has none")
+        if not self.is_randomization and self.pvalue_rule != "plain":
+            raise ValueError(f"the population method takes no pvalue_rule {self.pvalue_rule!r}")
 
     @property
     def number(self) -> int:
@@ -145,17 +149,16 @@ def glm_statistics_batch(
     arms_matrix: np.ndarray,
     candidates: CandidateSet,
     estimator: str = "mle",
-    track_separation: bool = False,
 ):
     """Refit statistic for every row of ``arms_matrix``.
 
-    Returns ``(stats, t_matrix, labels, diag)`` where ``stats`` has one
-    entry per assignment, ``t_matrix`` the per-contrast values, and
-    ``diag`` counts non-convergent and (optionally) separated refits.
-    Outcomes and covariates stay fixed; only the dose indicators move.
+    Returns ``(stats, t_matrix, diag)`` where ``stats`` has one entry
+    per assignment, ``t_matrix`` the per-contrast values, and ``diag``
+    counts non-convergent refits.  Outcomes and covariates stay fixed;
+    only the dose indicators move.
     """
     k = data.grid.k
-    mu0s, labels = shape_matrix(candidates, data.grid)
+    mu0s, _ = shape_matrix(candidates, data.grid)
     family = _family(data)
     if family == "gaussian":
         fit_many = glm.fit_gaussian_many
@@ -166,16 +169,7 @@ def glm_statistics_batch(
     fits = fit_many(arms_matrix, k, data.covariates, data.outcomes)
     mu, cov = glm.population_average_batch(fits.coefficients, fits.covariances, k, data.covariates)
     t_matrix, _ = _contrast_statistics(mu0s, mu, cov)
-    stats = t_matrix.max(axis=1)
-    diag = {"nonconverged_refits": int(np.sum(~fits.converged))}
-    if track_separation and family == "binomial" and estimator == "mle":
-        diag["separation_codes"] = glm.separation_batch(arms_matrix, data.outcomes, data.covariates, k)
-    return stats, t_matrix, labels, diag
-
-
-def _arm_counts(arms_matrix: np.ndarray, k: int) -> np.ndarray:
-    """Patients per arm in every assignment row: integers of shape (B, k)."""
-    return glm.arm_sums(glm.arm_offsets(arms_matrix, k), k)
+    return t_matrix.max(axis=1), t_matrix, {"nonconverged_refits": int(np.sum(~fits.converged))}
 
 
 def residual_statistics_batch(
@@ -185,7 +179,7 @@ def residual_statistics_batch(
     contrasts: ContrastMatrix | None = None,
     mu0s: np.ndarray | None = None,
 ):
-    """Residual statistic for every assignment row.
+    """Residual statistic for every assignment row, as ``(stats, t_matrix, diag)``.
 
     With fixed target arm sizes, pass the precomputed ``contrasts``;
     under complete randomization pass ``mu0s`` instead and per-row
@@ -195,7 +189,7 @@ def residual_statistics_batch(
     contrast's variance vanishes, the statistic is 0 for a zero signal
     and +/-inf otherwise.
     """
-    b, n = arms_matrix.shape
+    b = arms_matrix.shape[0]
     r = np.asarray(residual, dtype=float)
     offsets = glm.arm_offsets(arms_matrix, k)
     counts = glm.arm_sums(offsets, k).astype(float)
@@ -208,13 +202,11 @@ def residual_statistics_batch(
 
     if contrasts is not None:
         c = np.broadcast_to(contrasts.vectors, (b,) + contrasts.vectors.shape)
-        labels = contrasts.labels
     else:
         if mu0s is None:
             raise ValueError("need either fixed contrasts or candidate shapes")
         # Design weights of the realized arm sizes: covariance diag(1/n_j).
         c = _optimal_contrasts_batch(mu0s, np.eye(k) / safe[:, None, :])
-        labels = None
     num = np.einsum("bmk,bk->bm", c, means)
     den = np.einsum("bmk,bk->bm", c ** 2, variances / safe)
     scale = float(np.max(np.abs(r))) if r.size else 0.0
@@ -227,7 +219,7 @@ def residual_statistics_batch(
     t_matrix = np.where(zero_den & ~zero_num, signed_inf, t_matrix)
     stats = t_matrix.max(axis=1)
     stats = np.where(valid, stats, np.nan)
-    return stats, t_matrix, labels, {"invalid_rows": int(np.sum(~valid))}
+    return stats, t_matrix, {"invalid_rows": int(np.sum(~valid))}
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +250,20 @@ def residual_design_contrasts(
     """Fixed design-weight contrasts, or None when sizes vary per draw (CR)."""
     if spec.procedure == CR:
         return None
-    sizes = spec.expected_arm_sizes()
-    if np.any(sizes < 2):
-        raise DegenerateVarianceError(
-            f"residual statistic needs every arm target >= 2, got {sizes.tolist()}"
-        )
-    return contrast_matrix(candidates, spec.grid, arm_sizes=sizes)
+    return contrast_matrix(candidates, spec.grid, arm_sizes=spec.expected_arm_sizes())
 
 
 # ---------------------------------------------------------------------------
 # Randomization tests
 # ---------------------------------------------------------------------------
+
+def _short_rows(spec: RandomizationSpec, arms_matrix: np.ndarray, min_arm: int):
+    """Mask of the rows with an arm below ``min_arm``; None for RA and PBD, whose
+    arm sizes ``_randomization_statistic`` has checked."""
+    if spec.procedure != CR:
+        return None
+    return np.any(glm.arm_sums(glm.arm_offsets(arms_matrix, spec.k), spec.k) < min_arm, axis=1)
+
 
 def _draw_valid_sequences(
     spec: RandomizationSpec,
@@ -276,26 +271,23 @@ def _draw_valid_sequences(
     rng: np.random.Generator,
     min_arm: int,
 ) -> tuple[np.ndarray, int]:
-    """Replace the rows of ``sequences`` whose smallest arm is below ``min_arm``.
+    """Replace the rows of ``sequences`` that ``_short_rows`` marks.
 
-    Only complete randomization can leave an arm that small.  The valid
-    rows are kept in order, fresh valid draws follow them, and the
-    number of rows drawn again is returned with them.  A batch with no
-    row to replace is returned as it is, uncopied.
+    The valid rows are kept in order, fresh valid draws follow them, and
+    the number of rows drawn again is returned with them.  A batch with
+    no row to replace is returned as it is, uncopied.
     """
-    if spec.procedure != CR or min_arm == 0:
-        return sequences, 0
     rows = []
     redraws = 0
     need = sequences.shape[0]
     batch = sequences
     for _ in range(_MAX_REDRAW_ROUNDS):
-        ok = np.all(_arm_counts(batch, spec.k) >= min_arm, axis=1)
-        if not rows and ok.all():
+        short = _short_rows(spec, batch, min_arm)
+        if short is None or not (rows or short.any()):
             return sequences, 0
-        redraws += int(np.sum(~ok))
-        rows.append(batch[ok])
-        need -= int(np.sum(ok))
+        redraws += int(np.sum(short))
+        rows.append(batch[~short])
+        need -= int(np.sum(~short))
         if need == 0:
             return np.concatenate(rows, axis=0), redraws
         batch = sample_sequences(spec, need, rng)
@@ -309,7 +301,6 @@ def _randomization_statistic(
     spec: RandomizationSpec,
     method: TestMethod,
     candidates: CandidateSet,
-    track_separation: bool = False,
 ):
     """Checks and set-up shared by the Monte Carlo and the exact test.
 
@@ -318,6 +309,8 @@ def _randomization_statistic(
     with everything else fixed; ``min_arm`` is the smallest arm it is
     defined for; ``residual_fit`` is None for the refit statistic;
     ``diagnostics`` flags an observed sequence outside the reference set.
+    A procedure that no sequence of fills every arm to ``min_arm`` raises
+    :class:`DegenerateVarianceError`, so only CR rows can be short.
     """
     if not method.is_randomization:
         raise ValueError("use population_test for the population-based method")
@@ -325,10 +318,19 @@ def _randomization_statistic(
         raise ValueError(f"dataset has {data.n} patients but the procedure expects {spec.n}")
     if data.grid.doses != spec.grid.doses:
         raise ValueError("dataset and randomization grids differ")
+    min_arm = 2 if method.statistic == "residual" else 1
+    sizes = spec.expected_arm_sizes()
+    # The most patients that every arm can hold at once in one sequence.
+    fill = spec.n // spec.k * (sizes.min() > 0) if spec.procedure == CR else sizes.min()
+    if fill < min_arm:
+        raise DegenerateVarianceError(
+            f"the {method.id} statistic needs {min_arm} or more patients in every arm, which "
+            f"no {spec.procedure} sequence gives (expected arm sizes {sizes.tolist()})")
     diagnostics: dict = {}
     if not is_member(spec, data.arms):
         warnings.warn("observed sequence is not a member of the declared reference set")
         diagnostics["observed_not_in_reference_set"] = True
+    mu0s, labels = shape_matrix(candidates, data.grid)
 
     if method.statistic == "residual":
         obs_counts = data.arm_sizes()
@@ -338,25 +340,20 @@ def _randomization_statistic(
             )
         fit, residual = fit_residual_model(data, method.estimator)
         fixed = residual_design_contrasts(spec, candidates)
-        mu0s, labels = shape_matrix(candidates, data.grid)
 
         def evaluate(arms_matrix):
             return residual_statistics_batch(
                 residual, arms_matrix, data.grid.k,
                 contrasts=fixed, mu0s=None if fixed is not None else mu0s,
             )
-        return evaluate, labels, 2, fit, diagnostics
+        return evaluate, labels, min_arm, fit, diagnostics
 
     # A refit of a rank-deficient design has no unique coefficients.
     glm._check_rank(glm.design_from_assignments(data.arms, data.grid.k, data.covariates))
-    _, labels = shape_matrix(candidates, data.grid)
 
     def evaluate(arms_matrix):
-        return glm_statistics_batch(
-            data, arms_matrix, candidates, estimator=method.estimator,
-            track_separation=track_separation,
-        )
-    return evaluate, labels, 1, None, diagnostics
+        return glm_statistics_batch(data, arms_matrix, candidates, estimator=method.estimator)
+    return evaluate, labels, min_arm, None, diagnostics
 
 
 def randomization_test(
@@ -374,9 +371,10 @@ def randomization_test(
     re-randomized statistics at least as large as the observed one.
     The plain p-value rule divides by ``n_rand`` exactly; the add-one
     rule returns ``(1 + count) / (1 + n_rand)`` and can never be zero.
+    The binary ``glm_mle`` test also counts the separated sequences.
     """
     evaluate, labels, min_arm, fit, diagnostics = _randomization_statistic(
-        data, spec, method, candidates, track_separation=True,
+        data, spec, method, candidates,
     )
     if sequences is None:
         sequences = sample_sequences(spec, method.n_rand, rng)
@@ -389,12 +387,13 @@ def randomization_test(
             "separation": fit.separation,
         }
 
-    stats, t_matrix, _, diag = evaluate(np.concatenate([data.arms[None, :], sequences], axis=0))
-    codes = diag.pop("separation_codes", None)
-    if codes is not None:
-        diag["observed_separation"] = glm.SEP_NAMES[int(codes[0])]
-        diag["separated_refits"] = int(np.sum(codes[1:] > 0))
+    batch = np.concatenate([data.arms[None, :], sequences], axis=0)
+    stats, t_matrix, diag = evaluate(batch)
     diagnostics.update(diag)
+    if method.id == "glm_mle" and data.endpoint == "binary":
+        codes = glm.separation_batch(batch, data.outcomes, data.covariates, spec.k)
+        diagnostics["observed_separation"] = glm.SEP_NAMES[int(codes[0])]
+        diagnostics["separated_refits"] = int(np.sum(codes[1:] > 0))
 
     s_obs = stats[0]
     s_rand = stats[1:]
@@ -425,17 +424,16 @@ def exact_randomization_pvalue(
 ) -> TestOutcome:
     """Exact p-value by weighted enumeration of the whole reference set.
 
-    Sequences whose statistic is undefined (an arm below the method's
-    minimum occupancy, possible only under complete randomization) are
-    excluded and the remaining probabilities renormalized; the excluded
-    mass is reported in the diagnostics.  A reference set above
-    ``randomization.ENUMERATION_CAP`` sequences raises
-    :class:`~randmcp.randomization.EnumerationTooLargeError`.
+    Complete-randomization sequences whose statistic is undefined (those
+    ``_short_rows`` marks) are excluded and the remaining probabilities
+    renormalized; the excluded mass is reported in the diagnostics.  A
+    reference set above ``randomization.ENUMERATION_CAP`` sequences
+    raises :class:`~randmcp.randomization.EnumerationTooLargeError`.
     """
     evaluate, labels, min_arm, _, diagnostics = _randomization_statistic(
         data, spec, method, candidates,
     )
-    s_obs_arr, t_obs, _, _ = evaluate(data.arms[None, :])
+    s_obs_arr, t_obs, _ = evaluate(data.arms[None, :])
     s_obs = float(s_obs_arr[0])
 
     mass_geq = 0.0
@@ -444,13 +442,14 @@ def exact_randomization_pvalue(
     total = 0
     for arms_matrix, pvec in enumerate_sequences(spec):
         total += pvec.size
-        ok = np.all(_arm_counts(arms_matrix, spec.k) >= min_arm, axis=1)
-        mass_excluded += float(pvec[~ok].sum())
-        if np.any(ok):
-            stats = evaluate(arms_matrix[ok])[0]
-            pv = pvec[ok]
-            mass_valid += float(pv.sum())
-            mass_geq += float(pv[stats >= s_obs].sum())
+        short = _short_rows(spec, arms_matrix, min_arm)
+        if short is not None:
+            mass_excluded += float(pvec[short].sum())
+            arms_matrix, pvec = arms_matrix[~short], pvec[~short]
+        if pvec.size:
+            stats = evaluate(arms_matrix)[0]
+            mass_valid += float(pvec.sum())
+            mass_geq += float(pvec[stats >= s_obs].sum())
 
     if mass_valid <= 0:
         raise DegenerateVarianceError("every reference-set sequence was degenerate")
@@ -666,16 +665,17 @@ def analyze(
 
     ``exact=True`` enumerates the reference set of a randomization
     method; the population method has none, so it raises ``ValueError``.
+    Every other call draws random numbers and needs an ``rng``.
     """
     if exact and not method.is_randomization:
         raise ValueError(f"the {method.id} method has no exact test; exact=True needs a "
                          "randomization method")
+    if not exact and rng is None:
+        raise ValueError(f"the {method.id} test draws random numbers and needs an rng")
     if method.id == "population":
         return population_test(data, candidates, method=method, rng=rng)
     if spec is None:
         raise ValueError("randomization methods need the trial's randomization procedure")
     if exact:
         return exact_randomization_pvalue(data, spec, method, candidates)
-    if rng is None:
-        raise ValueError("Monte Carlo randomization tests need an rng")
     return randomization_test(data, spec, method, candidates, rng)

@@ -42,7 +42,8 @@ class EnumerationTooLargeError(RuntimeError):
 class RandomizationSpec:
     """One randomization procedure with its design parameters.
 
-    ``targets`` are the per-arm totals for the random allocation rule;
+    ``targets`` are the per-arm totals for the random allocation rule,
+    which is a permuted block design with one block of these totals;
     ``block`` is the per-arm composition of one permuted block;
     ``probs`` are the per-arm assignment probabilities for complete
     randomization (defaults to equal).
@@ -107,37 +108,35 @@ class RandomizationSpec:
         return self.grid.k
 
     @property
+    def composition(self) -> tuple[int, ...]:
+        """Per-arm patients of one block; random allocation is one block of the targets."""
+        if self.procedure == CR:
+            raise ValueError("complete randomization has no blocks")
+        return self.targets if self.procedure == RA else self.block
+
+    @property
     def n_blocks(self) -> int:
-        if self.procedure != PBD:
-            raise ValueError("only permuted block designs have blocks")
-        return self.n // sum(self.block)
+        return self.n // sum(self.composition)
 
     def expected_arm_sizes(self) -> np.ndarray:
         """Target (RA/PBD) or expected (CR) patients per arm."""
-        if self.procedure == RA:
-            return np.asarray(self.targets, dtype=float)
-        if self.procedure == PBD:
-            return np.asarray(self.block, dtype=float) * self.n_blocks
-        return np.asarray(self.probs, dtype=float) * self.n
+        if self.procedure == CR:
+            return np.asarray(self.probs, dtype=float) * self.n
+        return np.asarray(self.composition, dtype=float) * self.n_blocks
 
 
 def sample_sequences(spec: RandomizationSpec, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``size`` independent treatment sequences; shape (size, n).
 
-    Random allocation permutes the target multiset uniformly (keys
-    drawn per position and argsorted); permuted blocks do the same
-    independently within each block; complete randomization draws each
+    Each block (the one block of random allocation, or each permuted
+    block) permutes its composition uniformly and independently, by keys
+    drawn per position and argsorted; complete randomization draws each
     assignment independently from the arm probabilities.
     """
     if spec.procedure == CR:
         return rng.choice(spec.k, size=(size, spec.n), p=np.asarray(spec.probs))
-    if spec.procedure == RA:
-        template = np.repeat(np.arange(spec.k), spec.targets)
-        keys = rng.random((size, spec.n)).argsort(axis=1)
-        return template[keys]
-    template = np.repeat(np.arange(spec.k), spec.block)
-    m = template.shape[0]
-    keys = rng.random((size, spec.n_blocks, m)).argsort(axis=2)
+    template = np.repeat(np.arange(spec.k), spec.composition)
+    keys = rng.random((size, spec.n_blocks, template.size)).argsort(axis=2)
     return template[keys].reshape(size, spec.n)
 
 
@@ -157,10 +156,8 @@ def count_sequences(spec: RandomizationSpec) -> tuple[int, float]:
     if spec.procedure == CR:
         faces = sum(spec.weights) if spec.weights is not None else spec.k
         count = faces ** spec.n
-    elif spec.procedure == RA:
-        count = _multinomial(spec.targets)
     else:
-        count = _multinomial(spec.block) ** spec.n_blocks
+        count = _multinomial(spec.composition) ** spec.n_blocks
     return count, math.log10(count)
 
 
@@ -180,11 +177,8 @@ def is_member(spec: RandomizationSpec, seq) -> bool:
     if spec.procedure == CR:
         probs = np.asarray(spec.probs)
         return bool(np.all(probs[seq] > 0))
-    if spec.procedure == RA:
-        return np.bincount(seq, minlength=spec.k).tolist() == list(spec.targets)
-    m = sum(spec.block)
-    blocks = seq.reshape(spec.n_blocks, m)
-    want = list(spec.block)
+    want = list(spec.composition)
+    blocks = seq.reshape(spec.n_blocks, -1)
     return all(np.bincount(b, minlength=spec.k).tolist() == want for b in blocks)
 
 
@@ -210,18 +204,19 @@ def enumerate_sequences(
 
 def _chunks(spec: RandomizationSpec, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The reference set CHUNK rows at a time, each row unranked from its index."""
-    if spec.procedure != RA:
+    one_block = spec.procedure != CR and spec.n_blocks == 1
+    if not one_block:
         # One patient (CR) or one block (PBD) per base-``base`` digit of the index.
         if spec.procedure == CR:
             table = np.arange(spec.k)[:, None]
         else:
-            table = _unrank_multiset(spec.block, np.arange(_multinomial(spec.block)))
+            table = _unrank_multiset(spec.composition, np.arange(_multinomial(spec.composition)))
         base = table.shape[0]
         place = base ** np.arange(spec.n // table.shape[1] - 1, -1, -1, dtype=np.int64)
     for lo in range(0, count, CHUNK):
         index = np.arange(lo, min(lo + CHUNK, count), dtype=np.int64)
-        if spec.procedure == RA:
-            arms = _unrank_multiset(spec.targets, index)
+        if one_block:
+            arms = _unrank_multiset(spec.composition, index)
         else:
             arms = table[index[:, None] // place % base].reshape(index.size, spec.n)
         if spec.procedure == CR:

@@ -578,42 +578,36 @@ def spec_from_dict(d: dict) -> RandomizationSpec:
     """The randomization procedure a config declares under ``_SPEC_KEYS``."""
     design = {key: tuple(d[key]) for key in ("targets", "block", "probs", "weights") if key in d}
     return RandomizationSpec(procedure=d["procedure"], grid=DoseGrid(doses=tuple(d["doses"])),
-                             n=_config_int(d, "n"), **design)
+                             n=_config_value(d, "n", int), **design)
 
 
-def _config_int(d: dict, key: str, default: int | None = None) -> int:
-    """Config field ``key`` as an integer; without a ``default`` the field is required.
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a non-empty name without a path separator"}
 
-    A float, bool or string, or a negative ``seed``, raises a ValueError
-    naming the field.
+
+def _config_value(d: dict, key: str, kind: type, default=None):
+    """Config field ``key`` read as ``kind``; without a ``default`` the field is required.
+
+    ``int`` takes integers, and a ``seed`` must be at least 0; ``float``
+    takes finite numbers, integers included; ``bool`` takes JSON
+    booleans; ``str`` takes a name for output files, non-empty and with
+    no path separator.  Anything else raises a ValueError naming the
+    field.
     """
     val = d[key] if default is None else d.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-        raise ValueError(f"{key} must be an integer, not {val!r}")
+    if kind is bool or isinstance(val, bool):
+        ok = kind is bool and isinstance(val, bool)
+    elif kind is int:
+        ok = isinstance(val, (int, np.integer))
+    elif kind is float:
+        ok = isinstance(val, (int, float, np.integer, np.floating)) and np.isfinite(val)
+    else:
+        ok = isinstance(val, str) and val != "" and "/" not in val and "\\" not in val
+    if not ok:
+        raise ValueError(f"{key} must be {_KINDS[kind]}, not {val!r}")
     if key == "seed" and val < 0:
         raise ValueError(f"seed must be at least 0, not {val}")
-    return int(val)
-
-
-def _config_float(d: dict, key: str, default: float | None = None) -> float:
-    """Config field ``key`` as a finite float; without a ``default`` the field is required.
-
-    A bool, string or other non-number, NaN or an infinity raises a
-    ValueError naming the field.
-    """
-    val = d[key] if default is None else d.get(key, default)
-    if isinstance(val, bool) or not isinstance(val, (int, float, np.integer, np.floating)) \
-            or not np.isfinite(val):
-        raise ValueError(f"{key} must be a finite number, not {val!r}")
-    return float(val)
-
-
-def _config_bool(d: dict, key: str, default: bool | None = None) -> bool:
-    """Config field ``key`` as a JSON boolean, ``default`` when absent."""
-    val = d[key] if default is None else d.get(key, default)
-    if not isinstance(val, bool):
-        raise ValueError(f"{key} must be true or false, not {val!r}")
-    return val
+    return kind(val)
 
 
 def _reject_unknown(d: dict, known: set[str], what: str) -> None:
@@ -631,7 +625,7 @@ def _methods_from_entries(entries, n_rand: int) -> tuple[TestMethod, ...]:
     for entry in entries:
         entry = {"id": entry} if isinstance(entry, str) else dict(entry)
         _reject_unknown(entry, {f.name for f in fields(TestMethod)}, "method entry")
-        entry["n_rand"] = _config_int(entry, "n_rand", n_rand)
+        entry["n_rand"] = _config_value(entry, "n_rand", int, n_rand)
         methods.append(TestMethod(**entry))
     ids = [m.id for m in methods]
     duplicated = sorted({mid for mid in ids if ids.count(mid) > 1})
@@ -657,12 +651,11 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         raise ValueError("a scenario method entry cannot set n_rand: "
                          "the scenario's n_rand governs every method")
     spec = spec_from_dict(d)
-    n_rand = _config_int(d, "n_rand", 1000)
-    checked = {"n_sim": _config_int, "seed": _config_int,
-               "covariate_in_analysis": _config_bool,
-               **dict.fromkeys(("alpha", "p0", "pk", "emax_ed50", "covariate_coef"),
-                               _config_float)}
-    rest = {key: checked[key](d, key) if key in checked else val for key, val in d.items()
+    n_rand = _config_value(d, "n_rand", int, 1000)
+    kinds = {"name": str, "n_sim": int, "seed": int, "covariate_in_analysis": bool,
+             **dict.fromkeys(("alpha", "p0", "pk", "emax_ed50", "covariate_coef"), float)}
+    rest = {key: _config_value(d, key, kinds[key]) if key in kinds else val
+            for key, val in d.items()
             if key not in (*_SPEC_KEYS, "n_rand", "methods", "candidates")}
     return ScenarioConfig(
         spec=spec, n_rand=n_rand, methods=_methods_from_entries(entries, n_rand),
@@ -678,7 +671,7 @@ def replay_from_dict(d: dict, base: Path) -> dict:
     """
     _reject_unknown(d, _REPLAY_KEYS, "potential-outcomes config")
     spec = spec_from_dict(d)
-    n_rand = _config_int(d, "n_rand", 1000)
+    n_rand = _config_value(d, "n_rand", int, 1000)
     study = {
         "table": read_potential_outcomes_csv(base / d["potential_outcomes"],
                                              endpoint=d.get("endpoint", "continuous")),
@@ -686,12 +679,12 @@ def replay_from_dict(d: dict, base: Path) -> dict:
         "methods": _methods_from_entries(d.get("methods", ["population", "residual_mle"]),
                                          n_rand),
         "candidates": _candidates(d, spec.grid, wide_range_candidate_set(spec.grid.doses[-1])),
-        "alpha": _config_float(d, "alpha", 0.05),
-        "n_sim": _config_int(d, "n_sim", 1000),
-        "seed": _config_int(d, "seed", 1),
-        "include_baseline_covariate": _config_bool(d, "include_baseline_covariate", True),
-        "sort_by_baseline": _config_bool(d, "sort_by_baseline", False),
-        "name": d.get("name", "potential_outcomes"),
+        "alpha": _config_value(d, "alpha", float, 0.05),
+        "n_sim": _config_value(d, "n_sim", int, 1000),
+        "seed": _config_value(d, "seed", int, 1),
+        "include_baseline_covariate": _config_value(d, "include_baseline_covariate", bool, True),
+        "sort_by_baseline": _config_value(d, "sort_by_baseline", bool, False),
+        "name": _config_value(d, "name", str, "potential_outcomes"),
     }
     _replay_study(**study)
     return study
@@ -702,10 +695,10 @@ def analysis_from_dict(d: dict) -> tuple[RandomizationSpec, TestMethod, Candidat
     _reject_unknown(d, _ANALYSIS_KEYS, "analysis config")
     spec = spec_from_dict(d)
     method = TestMethod(id=d.get("method", "residual_firth"),
-                        n_rand=_config_int(d, "n_rand", 1000),
+                        n_rand=_config_value(d, "n_rand", int, 1000),
                         pvalue_rule=d.get("pvalue_rule", "plain"))
     return (spec, method, _candidates(d, spec.grid, default_candidate_set()),
-            d.get("endpoint", "binary"), _config_int(d, "seed", 1))
+            d.get("endpoint", "binary"), _config_value(d, "seed", int, 1))
 
 
 def contrasts_from_dict(d: dict) -> tuple[DoseGrid, ContrastMatrix]:

@@ -231,6 +231,8 @@ class TestSimulateCommand:
         ({"methods": [{"id": "population", "df": math.inf}]}, "df"),
         ({"methods": [{"id": "population", "df": math.nan}]}, "df"),
         ({"emax_ed50": 0}, "emax_ed50"),
+        ({"methods": [{"id": "residual_firth", "df": 44}]}, "df"),
+        ({"methods": [{"id": "population", "pvalue_rule": "add_one"}]}, "pvalue_rule"),
     ])
     def test_invalid_truth_or_df_exits_2_before_any_trial(self, tiny_scenario, tmp_path,
                                                           capsys, monkeypatch, change, field):
@@ -262,6 +264,10 @@ class TestSimulateCommand:
         ({"emax_ed50": "10"}, "emax_ed50 must be a finite number, not '10'"),
         ({"covariate_coef": [0.6]}, "covariate_coef must be a finite number, not [0.6]"),
         ({"p0": math.inf}, "p0 must be a finite number, not inf"),
+        ({"name": "sub/dir"}, "name must be a non-empty name without a path separator, "
+                              "not 'sub/dir'"),
+        ({"name": 7}, "name must be a non-empty name without a path separator, not 7"),
+        ({"name": ""}, "name must be a non-empty name without a path separator, not ''"),
     ])
     def test_mistyped_scenario_field_exits_2(self, tiny_scenario, tmp_path, capsys,
                                              change, message):
@@ -286,6 +292,9 @@ class TestSimulateCommand:
         ({"alpha": "0.5"}, "alpha must be a finite number, not '0.5'"),
         ({"alpha": False}, "alpha must be a finite number, not False"),
         ({"alpha": math.nan}, "alpha must be a finite number, not nan"),
+        ({"name": "sub/dir"}, "name must be a non-empty name without a path separator, "
+                              "not 'sub/dir'"),
+        ({"name": 7}, "name must be a non-empty name without a path separator, not 7"),
     ])
     def test_mistyped_replay_field_exits_2(self, replay_config, tmp_path, capsys,
                                            change, message):
@@ -464,6 +473,18 @@ class TestAnalyzeCommand:
         write_two_arm_trial(trial, [1, 0, 1, 0, 1, 0, 1, 0])
         assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config)) == 2
         assert "pvalue_rlue" in capsys.readouterr().err
+
+    def test_add_one_rule_on_population_exits_2(self, two_arm_config, tmp_path, capsys):
+        config = json.loads(two_arm_config.read_text())
+        config.update(method="population", pvalue_rule="add_one")
+        two_arm_config.write_text(json.dumps(config))
+        trial = tmp_path / "trial.csv"
+        write_two_arm_trial(trial, [1, 0, 1, 1, 0, 1, 0, 0])
+        out = tmp_path / "res.json"
+        assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config),
+                       "--out", str(out)) == 2
+        assert "pvalue_rule" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overrides_equal_the_same_config_written_out(self, two_arm_config, tmp_path):
         trial = tmp_path / "trial.csv"

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ from randmcp.inference import (
     residual_statistics_batch,
     shape_matrix,
 )
-from randmcp.glm import RankDeficientDesignError, design_from_assignments
+from randmcp.glm import RankDeficientDesignError, design_from_assignments, separation_batch
 from randmcp.randomization import (
     RandomizationSpec,
     sample_sequence,
@@ -82,7 +83,7 @@ class TestResidualStatistic:
         arms = np.repeat([0, 1, 2, 3], 2)
         r = np.repeat([0.0, 1.0, 2.0, 3.0], 2) + np.tile([-eps, eps], 4)
         contrasts = contrast_matrix(default_candidate_set(), GRID4, arm_sizes=(2, 2, 2, 2))
-        stats, t_matrix, _, diag = residual_statistics_batch(
+        stats, t_matrix, diag = residual_statistics_batch(
             r, arms[None, :], 4, contrasts=contrasts
         )
         means = np.array([0.0, 1.0, 2.0, 3.0])
@@ -108,8 +109,8 @@ class TestResidualStatistic:
         arms = np.repeat([0, 1], 3)
         r = np.full(6, 0.25)
         contrasts = contrast_matrix(LINEAR_ONLY, GRID2, arm_sizes=(3, 3))
-        stats, t_matrix, _, _ = residual_statistics_batch(r, arms[None, :], 2,
-                                                          contrasts=contrasts)
+        stats, t_matrix, _ = residual_statistics_batch(r, arms[None, :], 2,
+                                                       contrasts=contrasts)
         assert stats[0] == 0.0
         assert t_matrix[0, 0] == 0.0
 
@@ -117,15 +118,15 @@ class TestResidualStatistic:
         arms = np.array([1, 1, 0, 0])
         r = np.array([0.5, 0.5, -0.5, -0.5])
         contrasts = contrast_matrix(LINEAR_ONLY, GRID2, arm_sizes=(2, 2))
-        stats, _, _, _ = residual_statistics_batch(r, arms[None, :], 2, contrasts=contrasts)
+        stats, _, _ = residual_statistics_batch(r, arms[None, :], 2, contrasts=contrasts)
         assert stats[0] == np.inf
 
     def test_small_arm_flagged_invalid(self):
         arms = np.array([0, 1, 1, 1])
         r = np.array([0.1, -0.2, 0.3, 0.4])
         contrasts = contrast_matrix(LINEAR_ONLY, GRID2, arm_sizes=(2, 2))
-        stats, _, _, diag = residual_statistics_batch(r, arms[None, :], 2,
-                                                      contrasts=contrasts)
+        stats, _, diag = residual_statistics_batch(r, arms[None, :], 2,
+                                                   contrasts=contrasts)
         assert np.isnan(stats[0])
         assert diag["invalid_rows"] == 1
 
@@ -164,10 +165,10 @@ class TestResidualStatistic:
             kwargs = {"contrasts": contrast_matrix(cands, GRID4, arm_sizes=(7, 14, 14, 14))}
         else:
             kwargs = {"mu0s": shape_matrix(cands, GRID4)[0]}
-        stats, t_matrix, _, diag = residual_statistics_batch(r, batch, 4, **kwargs)
+        stats, t_matrix, diag = residual_statistics_batch(r, batch, 4, **kwargs)
         assert np.isnan(stats[2]) and diag["invalid_rows"] == 1
         for i, row in zip([0, 1, 3, 4, 5], rows):
-            alone, t_alone, _, _ = residual_statistics_batch(r, row[None], 4, **kwargs)
+            alone, t_alone, _ = residual_statistics_batch(r, row[None], 4, **kwargs)
             assert alone[0] == stats[i]
             assert np.array_equal(t_alone[0], t_matrix[i])
 
@@ -175,7 +176,7 @@ class TestResidualStatistic:
 class TestRefitStatistic:
     def test_equal_arms_give_zero_statistic(self):
         data = toy_dataset([0, 0, 1, 1], [1.0, 0.0, 1.0, 0.0], GRID2)
-        stats, t_matrix, _, _ = glm_statistics_batch(
+        stats, t_matrix, _ = glm_statistics_batch(
             data, data.arms[None, :], LINEAR_ONLY
         )
         assert abs(stats[0]) < 1e-6
@@ -223,10 +224,10 @@ class TestRefitStatistic:
         empty_placebo = np.where(arms == 0, 1, arms)
         batch = np.vstack([rows[:2], empty_placebo, rows[2:]])
         cands = default_candidate_set()
-        stats, t_matrix, _, _ = glm_statistics_batch(data, batch, cands, estimator=estimator)
+        stats, t_matrix, _ = glm_statistics_batch(data, batch, cands, estimator=estimator)
         for i, row in zip([0, 1, 3, 4, 5], rows):
-            alone, t_alone, _, _ = glm_statistics_batch(data, row[None], cands,
-                                                        estimator=estimator)
+            alone, t_alone, _ = glm_statistics_batch(data, row[None], cands,
+                                                     estimator=estimator)
             assert alone[0] == stats[i]
             assert np.array_equal(t_alone[0], t_matrix[i])
 
@@ -240,11 +241,12 @@ class TestRefitStatistic:
         data = toy_dataset(arms, y, GRID4, covariates=x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stats, t_matrix, _, diag = glm_statistics_batch(
-                data, arms[None, :], default_candidate_set(), track_separation=True)
+            stats, t_matrix, _ = glm_statistics_batch(
+                data, arms[None, :], default_candidate_set())
+            codes = separation_batch(arms[None, :], y, x, 4)
         assert stats.tolist() == [0.0]
         assert not np.any(t_matrix)
-        assert diag["separation_codes"].tolist() == [2]
+        assert codes.tolist() == [2]
 
 
 class TestRandomizationTest:
@@ -852,7 +854,7 @@ class TestPopulationSharesRefitKernel:
             out = population_test(data, candidates, rng=substream(74, 0))
         except SingularCovarianceError:
             return  # a separated binary fit can leave no definite covariance
-        stats, t_matrix, _, _ = glm_statistics_batch(data, arms[None], candidates)
+        stats, t_matrix, _ = glm_statistics_batch(data, arms[None], candidates)
         assert out.statistic == stats[0]
         assert np.array_equal(out.per_contrast, t_matrix[0])
 
@@ -901,3 +903,55 @@ class TestDegenerateInputsTyped:
         data = toy_dataset(arms, y, GRID4, endpoint="continuous")
         with pytest.raises(SingularCovarianceError, match="not positive definite"):
             population_test(data, default_candidate_set(), rng=substream(76, 0))
+
+
+class TestRowValidityRule:
+    """A procedure none of whose sequences suits the statistic raises before any refit."""
+
+    def test_pbd_block_without_an_arm_raises_for_monte_carlo_refits(self):
+        # Arm 0 is in no block, so every re-randomized refit has an empty arm.
+        spec = RandomizationSpec(procedure="pbd", grid=GRID3, n=8, block=(0, 2, 2))
+        data = toy_dataset(np.array([0, 1, 2, 2, 1, 1, 2, 0]),
+                           np.array([0, 1, 1, 0, 1, 0, 1, 0], dtype=float), GRID3)
+        with pytest.raises(DegenerateVarianceError, match="expected arm sizes"):
+            randomization_test(data, spec, TestMethod(id="glm_mle", n_rand=50), LINEAR_ONLY,
+                               substream(79, 0))
+
+    def test_exact_cr_zero_probability_arm_raises_before_enumerating(self):
+        spec = RandomizationSpec(procedure="cr", grid=GRID3, n=12, probs=(0.0, 0.5, 0.5))
+        data = toy_dataset(np.arange(12) % 3, (np.arange(12) % 2).astype(float), GRID3)
+        start = time.perf_counter()
+        with pytest.raises(DegenerateVarianceError, match="expected arm sizes"):
+            exact_randomization_pvalue(data, spec, TestMethod(id="glm_mle"), LINEAR_ONLY)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("method_id, n", [("glm_mle", 3), ("residual_firth", 7)])
+    def test_monte_carlo_cr_with_too_few_patients_draws_nothing(self, monkeypatch,
+                                                                method_id, n):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew sequences for a procedure that cannot fill every arm")
+
+        monkeypatch.setattr(inference, "sample_sequences", no_draw)
+        spec = RandomizationSpec(procedure="cr", grid=GRID4, n=n)
+        data = toy_dataset(np.arange(n) % 4, (np.arange(n) % 2).astype(float), GRID4)
+        with pytest.raises(DegenerateVarianceError, match="expected arm sizes"):
+            randomization_test(data, spec, TestMethod(id=method_id, n_rand=50), LINEAR_ONLY,
+                               substream(79, 1))
+
+
+class TestMethodFields:
+    def test_df_on_a_randomization_method_raises(self):
+        with pytest.raises(ValueError, match="df sets the population reference"):
+            TestMethod(id="residual_mle", df=10.0)
+
+    def test_add_one_rule_on_the_population_method_raises(self):
+        with pytest.raises(ValueError, match="takes no pvalue_rule 'add_one'"):
+            TestMethod(id="population", pvalue_rule="add_one")
+
+    def test_population_analysis_without_rng_raises(self):
+        # Its reference integral draws scrambled Sobol seeds from the rng.
+        arms = np.repeat(np.arange(4), 6)
+        y = np.tile([0.0, 1.0, 1.0], 8)
+        data = toy_dataset(arms, y, GRID4, covariates=substream(80, 0).normal(size=(24, 1)))
+        with pytest.raises(ValueError, match="population test draws random numbers"):
+            analyze(data, TestMethod(id="population"), default_candidate_set())

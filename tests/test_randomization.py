@@ -263,3 +263,22 @@ class TestSubstream:
     def test_invalid_seed_rejected(self):
         with pytest.raises(ValueError):
             substream(-1)
+
+
+class TestRandomAllocationIsOneBlock:
+    def test_composition_and_block_count(self):
+        assert TRIAL_RA.composition == (7, 14, 14, 14) and TRIAL_RA.n_blocks == 1
+        assert TRIAL_PBD.composition == (1, 2, 2, 2) and TRIAL_PBD.n_blocks == 7
+        with pytest.raises(ValueError, match="no blocks"):
+            TRIAL_CR.composition
+
+    def test_one_block_pbd_is_random_allocation(self):
+        pbd = RandomizationSpec(procedure="pbd", grid=GRID4, n=7, block=(1, 2, 2, 2))
+        ra = RandomizationSpec(procedure="ra", grid=GRID4, n=7, targets=(1, 2, 2, 2))
+        assert np.array_equal(sample_sequences(pbd, 50, substream(3, 0)),
+                              sample_sequences(ra, 50, substream(3, 0)))
+        assert count_sequences(pbd) == count_sequences(ra)
+        (pbd_arms, pbd_probs), = enumerate_sequences(pbd)
+        (ra_arms, ra_probs), = enumerate_sequences(ra)
+        assert np.array_equal(pbd_arms, ra_arms) and np.array_equal(pbd_probs, ra_probs)
+        assert all(is_member(pbd, row) for row in ra_arms)
