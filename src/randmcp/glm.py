@@ -180,9 +180,9 @@ def _check_rank(design: DesignMatrix) -> None:
     _, r, piv = scipy_qr(x, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = max(x.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    bad = piv[diag <= tol] if diag.size else np.arange(x.shape[1])
-    if x.shape[1] > x.shape[0]:
-        bad = np.union1d(bad, piv[x.shape[0]:])
+    # R has min(n, p) diagonal entries; with more columns than patients,
+    # the pivots past them are dependent too.
+    bad = np.union1d(piv[:diag.size][diag <= tol], piv[diag.size:])
     if bad.size:
         names = [design.labels[i] for i in sorted(bad)]
         raise RankDeficientDesignError(

@@ -188,38 +188,60 @@ def residual_statistics_batch(
     Arms with zero residual variance contribute no noise: if every
     contrast's variance vanishes, the statistic is 0 for a zero signal
     and +/-inf otherwise.
+
+    Rows go through in blocks of at most ``glm.BLOCK_ENTRIES`` patient
+    entries, small enough that the allocator reuses the temporaries of
+    one block for the next.  Every step is row-local, so a row's values
+    do not depend on its block.
     """
-    b = arms_matrix.shape[0]
+    if contrasts is None and mu0s is None:
+        raise ValueError("need either fixed contrasts or candidate shapes")
     r = np.asarray(residual, dtype=float)
+    rows = max(1, glm.BLOCK_ENTRIES // max(arms_matrix.shape[1], 1))
+    parts = [_residual_block(r, arms_matrix[lo:lo + rows], k, contrasts, mu0s)
+             for lo in range(0, max(arms_matrix.shape[0], 1), rows)]
+    stats, t_matrix, valid = (np.concatenate(part) for part in zip(*parts))
+    return stats, t_matrix, {"invalid_rows": valid.size - int(np.count_nonzero(valid))}
+
+
+def _residual_block(r, arms_matrix, k, contrasts, mu0s):
+    """``(stats, t_matrix, valid)`` of :func:`residual_statistics_batch` on one row block."""
     offsets = glm.arm_offsets(arms_matrix, k)
-    counts = glm.arm_sums(offsets, k).astype(float)
+    counts = glm.arm_sums(offsets, k)
     sums = glm.arm_sums(offsets, k, r)
     sqs = glm.arm_sums(offsets, k, r ** 2)
-    valid = np.all(counts >= 2, axis=1)
-    safe = np.where(counts >= 1, counts, 1.0)
+    # Reductions over the few arms or contrasts of a row run column by
+    # column: a small last axis makes numpy's per-row reductions slow.
+    valid = counts[:, 0] >= 2
+    for column in counts.T[1:]:
+        valid &= column >= 2
+    safe = np.maximum(counts, 1.0)
     means = sums / safe
-    variances = np.clip(sqs - sums ** 2 / safe, 0.0, None) / np.where(counts >= 2, counts - 1.0, 1.0)
+    variances = np.clip(sqs - sums ** 2 / safe, 0.0, None) / np.maximum(counts - 1.0, 1.0)
 
     if contrasts is not None:
-        c = np.broadcast_to(contrasts.vectors, (b,) + contrasts.vectors.shape)
+        # einsum forms each (row, contrast) value as one dot product over
+        # the arms, whether the contrasts are one (M, k) matrix or a
+        # (B, M, k) stack, so both give the same bits.
+        c, subscripts = contrasts.vectors, "mk,bk->bm"
     else:
-        if mu0s is None:
-            raise ValueError("need either fixed contrasts or candidate shapes")
         # Design weights of the realized arm sizes: covariance diag(1/n_j).
-        c = _optimal_contrasts_batch(mu0s, np.eye(k) / safe[:, None, :])
-    num = np.einsum("bmk,bk->bm", c, means)
-    den = np.einsum("bmk,bk->bm", c ** 2, variances / safe)
+        c, subscripts = _optimal_contrasts_batch(mu0s, np.eye(k) / safe[:, None, :]), "bmk,bk->bm"
+    num = np.einsum(subscripts, c, means)
+    den = np.einsum(subscripts, c ** 2, variances / safe)
     scale = float(np.max(np.abs(r))) if r.size else 0.0
-    zero_den = den <= (1e-14 * (scale + 1e-300)) ** 2
-    zero_num = np.abs(num) <= 1e-12 * (scale + 1e-300)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_matrix = num / np.sqrt(den)
-    t_matrix = np.where(zero_den & zero_num, 0.0, t_matrix)
-    signed_inf = np.where(num > 0, np.inf, -np.inf)
-    t_matrix = np.where(zero_den & ~zero_num, signed_inf, t_matrix)
-    stats = t_matrix.max(axis=1)
-    stats = np.where(valid, stats, np.nan)
-    return stats, t_matrix, {"invalid_rows": int(np.sum(~valid))}
+    zero_den = den <= (1e-14 * (scale + 1e-300)) ** 2
+    if zero_den.any():
+        flat = num[zero_den]
+        signed_inf = np.where(flat > 0, np.inf, -np.inf)
+        t_matrix[zero_den] = np.where(np.abs(flat) <= 1e-12 * (scale + 1e-300), 0.0, signed_inf)
+    stats = t_matrix[:, 0].copy()
+    for column in t_matrix.T[1:]:
+        np.maximum(stats, column, out=stats)
+    stats[~valid] = np.nan
+    return stats, t_matrix, valid
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +582,10 @@ def max_tail_probability(
     finite ``df`` gives the multivariate t.  ``corr`` is rounded to 12
     decimals and eigenvalues below 1e-10 of the largest are dropped, so
     rounding noise in a rank-deficient correlation leaves p unchanged;
-    one below -1e-10 flags it as repaired.  A NaN ``threshold`` or
-    ``reps`` below 2 (no error estimate) raises ``ValueError``.
+    one below -1e-10 flags it as repaired.  A NaN ``threshold``, ``reps``
+    below 2 (no error estimate), or a missing ``rng`` for two or more
+    contrasts raises ``ValueError``; one contrast has a closed form that
+    draws nothing.
     """
     if np.isnan(threshold):
         raise ValueError("threshold must be a number or +-inf, not NaN")
@@ -572,13 +596,15 @@ def max_tail_probability(
         # scipy.stats' norm.sf and t.sf are exactly these calls.
         tail = ndtr(-threshold) if df is None else stdtr(df, -threshold)
         return float(tail), 0.0, False
+    if rng is None:
+        raise ValueError("max_tail_probability needs an rng to seed its Sobol replicates "
+                         "when there are two or more contrasts")
     eigval, eigvec = np.linalg.eigh(corr)
     repaired = bool(eigval.min() < -1e-10)
     kept = eigval >= 1e-10 * eigval.max()
     loadings = eigvec[:, kept] * np.sqrt(eigval[kept])  # (m, r)
     r = loadings.shape[1]
 
-    rng = rng or np.random.default_rng()
     pairs = 1 << max(int(np.ceil(np.log2(max(points, 2 * reps) / (2 * reps)))), 3)
     seeds = [int(rng.integers(2 ** 63)) for _ in range(reps)]
     z = ndtri(np.clip(_scrambled_sobol(r, seeds, pairs), 1e-15, 1 - 1e-15)).reshape(-1, r)
@@ -615,7 +641,8 @@ def population_test(
     means, and reports the one-sided multiplicity-adjusted p-value
     ``P(max of M correlated standard normals >= observed max)`` (the
     multivariate t for a finite ``method.df``) by ``max_tail_probability``
-    at its default budget, with ``qmc_error`` its error.
+    at its default budget, with ``qmc_error`` its error.  Two or more
+    candidates need an ``rng`` to seed that integral.
     """
     method = method or TestMethod(id="population")
     if method.id != "population":

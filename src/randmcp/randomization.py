@@ -190,8 +190,8 @@ def enumerate_sequences(
     Every chunk but the last holds :data:`CHUNK` sequences, and rows
     come in lexicographic order of their arm indices.  Raises
     :class:`EnumerationTooLargeError` at the call, before any chunk is
-    produced, when the exact count exceeds ``cap`` or is so large that
-    count times n overflows 64-bit unranking.  Under weighted complete
+    produced, when the exact count exceeds ``cap`` or count times n
+    reaches 2^63.  Under weighted complete
     randomization the rows are the distinct arm sequences (with their
     probabilities), not the individually counted die outcomes.
     """
@@ -203,49 +203,86 @@ def enumerate_sequences(
 
 
 def _chunks(spec: RandomizationSpec, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The reference set CHUNK rows at a time, each row unranked from its index."""
-    one_block = spec.procedure != CR and spec.n_blocks == 1
-    if not one_block:
+    """The reference set CHUNK rows at a time, each row built from its index."""
+    if spec.procedure != CR and spec.n_blocks == 1:
+        rows = _prefix_suffix_rows(spec.composition)
+    else:
         # One patient (CR) or one block (PBD) per base-``base`` digit of the index.
         if spec.procedure == CR:
             table = np.arange(spec.k)[:, None]
         else:
-            table = _unrank_multiset(spec.composition, np.arange(_multinomial(spec.composition)))
+            table = _arrangements(spec.composition)
         base = table.shape[0]
         place = base ** np.arange(spec.n // table.shape[1] - 1, -1, -1, dtype=np.int64)
+
+        def rows(index):
+            return table[index[:, None] // place % base].reshape(index.size, spec.n)
     for lo in range(0, count, CHUNK):
         index = np.arange(lo, min(lo + CHUNK, count), dtype=np.int64)
-        if one_block:
-            arms = _unrank_multiset(spec.composition, index)
-        else:
-            arms = table[index[:, None] // place % base].reshape(index.size, spec.n)
+        arms = rows(index)
         if spec.procedure == CR:
             yield arms, np.prod(np.asarray(spec.probs)[arms], axis=1)
         else:
             yield arms, np.full(index.size, 1.0 / count)
 
 
-def _unrank_multiset(counts: tuple[int, ...], index: np.ndarray) -> np.ndarray:
-    """Rows ``index`` of the lexicographic list of a multiset's arrangements.
+def _extend(rows: np.ndarray, left: np.ndarray, levels: int):
+    """Extend every row by ``levels`` more symbols in each way ``left`` allows.
 
-    Of the ``total`` arrangements left after a prefix, ``total * c_s /
-    remaining`` start with symbol s.  Each position takes the first
-    symbol whose running sum of these exceeds the rank, and the rank
-    drops by the sum before it.
+    ``rows`` (R, j) are partial arrangements and ``left`` (R, k) the
+    symbols each has still to place.  A row's extensions follow one
+    another in lexicographic order, so rows in that order stay in it.
+    Returns the extended rows, their ``left`` and the row each came from.
     """
-    b, n = index.size, sum(counts)
-    # Symbols run down axis 0, so the running sums are over contiguous rows.
-    left = np.repeat(np.asarray(counts, dtype=np.int64)[:, None], b, axis=1)
-    total = np.full(b, _multinomial(counts), dtype=np.int64)
-    rank = index.copy()
-    cols = np.arange(b)
-    out = np.empty((b, n), dtype=np.int64)
-    for j in range(n):
-        starting = total * left // (n - j)
-        below = np.cumsum(starting, axis=0)
-        sym = np.sum(rank >= below, axis=0)
-        out[:, j] = sym
-        total = starting[sym, cols]
-        rank -= below[sym, cols] - total
-        left[sym, cols] -= 1
-    return out
+    parent = np.arange(rows.shape[0])
+    for _ in range(levels):
+        row, sym = np.nonzero(left > 0)  # by row, then by symbol
+        rows = np.concatenate([rows[row], sym[:, None]], axis=1)
+        left = left[row]
+        left[np.arange(row.size), sym] -= 1
+        parent = parent[row]
+    return rows, left, parent
+
+
+def _arrangements(counts: tuple[int, ...]) -> np.ndarray:
+    """Every arrangement of a multiset, in lexicographic order: (N, n) int64."""
+    start = np.empty((1, 0), dtype=np.int64)
+    return _extend(start, np.asarray([counts], dtype=np.int64), sum(counts))[0]
+
+
+def _prefix_suffix_rows(counts: tuple[int, ...]):
+    """Row builder for the lexicographic list of a multiset's arrangements.
+
+    An arrangement is one of the distinct prefixes of its first m = n // 2
+    positions followed by an arrangement of what that prefix leaves.  The
+    prefixes, in lexicographic order, own consecutive runs of rows; the
+    suffixes of each composition left are one lexicographic table.  Row
+    i is the prefix whose run holds i followed by row ``i - run start``
+    of its suffix table, so only the two tables are built.  Reversal
+    maps the distinct prefixes of a length onto the distinct suffixes of
+    that length, so the middle split keeps the larger table as small as
+    it can be: 690 rows each for (4, 4, 4), and 2,142 and 6,174 for
+    (5, 5, 5), whose arrangements number 756,756.
+    """
+    n, m = sum(counts), sum(counts) // 2
+    start = np.empty((1, 0), dtype=np.int64)
+    prefixes, left, _ = _extend(start, np.asarray([counts], dtype=np.int64), m)
+    # One suffix table per composition left; tables lie end to end in ``suffixes``.
+    lefts, table_of = np.unique(left, axis=0, return_inverse=True)
+    table_of = table_of.ravel()  # numpy 2.0.0 returns it as (P, 1)
+    suffixes, _, owner = _extend(start.repeat(lefts.shape[0], 0), lefts, n - m)
+    sizes = np.bincount(owner, minlength=lefts.shape[0])
+    run = sizes[table_of]
+    ends = np.cumsum(run)
+    # Suffix row of row i is i + shift[prefix].
+    shift = (np.cumsum(sizes) - sizes)[table_of] - (ends - run)
+
+    def rows(index):
+        prefix = np.searchsorted(ends, index, side="right")
+        out = np.empty((index.size, n), dtype=np.int64)
+        # Gathered straight into ``out``; every index is in range, and
+        # mode="clip" only skips the buffer that mode="raise" copies through.
+        np.take(prefixes, prefix, axis=0, out=out[:, :m], mode="clip")
+        np.take(suffixes, index + shift[prefix], axis=0, out=out[:, m:], mode="clip")
+        return out
+    return rows

@@ -7,8 +7,12 @@ batched-kernel references at the end are the earlier loops that
 recompute every quantity where they use it; the kernels must match
 them bit for bit.  The reference-set generator is the earlier
 per-sequence recursion that the chunked enumerator must reproduce row
-for row.  The population statistic is the earlier per-shape loop that
-the shared contrast kernel replaced.  The population reference integral
+for row, and the per-position unranking of one block's arrangements
+is the reference for its prefix and suffix tables.  The residual
+statistic is the earlier form whose fixed contrasts were broadcast to
+every row and whose ``where`` masks covered every entry; the pass-saving
+kernel must match it bit for bit.  The population statistic is the
+earlier per-shape loop that the shared contrast kernel replaced.  The population reference integral
 is the earlier loop of one scipy Sobol engine per replicate, which the
 batched in-package scramble must match bit for bit.
 """
@@ -35,11 +39,12 @@ from randmcp.glm import (
     _BlockDesigns,
     batch_solve,
 )
-from randmcp.inference import _radial_tail
+from randmcp.inference import _optimal_contrasts_batch, _radial_tail
 from randmcp.randomization import (
     CR,
     ENUMERATION_CAP,
     RA,
+    _multinomial,
     count_sequences,
     enumerate_sequences,
 )
@@ -307,6 +312,63 @@ def enumerated(spec, cap=ENUMERATION_CAP):
     """The enumerator's chunks joined into ``(arms (N, n), probs (N,))``."""
     chunks = list(enumerate_sequences(spec, cap))
     return np.concatenate([a for a, _ in chunks]), np.concatenate([p for _, p in chunks])
+
+
+def unrank_multiset(counts, index):
+    """Rows ``index`` of the lexicographic list of a multiset's arrangements.
+
+    Of the ``total`` arrangements left after a prefix, ``total * c_s /
+    remaining`` start with symbol s.  Each position takes the first
+    symbol whose running sum of these exceeds the rank, and the rank
+    drops by the sum before it.
+    """
+    b, n = index.size, sum(counts)
+    # Symbols run down axis 0, so the running sums are over contiguous rows.
+    left = np.repeat(np.asarray(counts, dtype=np.int64)[:, None], b, axis=1)
+    total = np.full(b, _multinomial(counts), dtype=np.int64)
+    rank = np.array(index, dtype=np.int64)
+    cols = np.arange(b)
+    out = np.empty((b, n), dtype=np.int64)
+    for j in range(n):
+        starting = total * left // (n - j)
+        below = np.cumsum(starting, axis=0)
+        sym = np.sum(rank >= below, axis=0)
+        out[:, j] = sym
+        total = starting[sym, cols]
+        rank -= below[sym, cols] - total
+        left[sym, cols] -= 1
+    return out
+
+
+def residual_statistics_reference(residual, arms_matrix, k, contrasts=None, mu0s=None):
+    """``inference.residual_statistics_batch`` with every pass over whole (B, M, k) arrays."""
+    b = arms_matrix.shape[0]
+    r = np.asarray(residual, dtype=float)
+    offsets = glm.arm_offsets(arms_matrix, k)
+    counts = glm.arm_sums(offsets, k).astype(float)
+    sums = glm.arm_sums(offsets, k, r)
+    sqs = glm.arm_sums(offsets, k, r ** 2)
+    valid = np.all(counts >= 2, axis=1)
+    safe = np.where(counts >= 1, counts, 1.0)
+    means = sums / safe
+    variances = np.clip(sqs - sums ** 2 / safe, 0.0, None) / np.where(counts >= 2, counts - 1.0, 1.0)
+    if contrasts is not None:
+        c = np.broadcast_to(contrasts.vectors, (b,) + contrasts.vectors.shape)
+    else:
+        c = _optimal_contrasts_batch(mu0s, np.eye(k) / safe[:, None, :])
+    num = np.einsum("bmk,bk->bm", c, means)
+    den = np.einsum("bmk,bk->bm", c ** 2, variances / safe)
+    scale = float(np.max(np.abs(r))) if r.size else 0.0
+    zero_den = den <= (1e-14 * (scale + 1e-300)) ** 2
+    zero_num = np.abs(num) <= 1e-12 * (scale + 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_matrix = num / np.sqrt(den)
+    t_matrix = np.where(zero_den & zero_num, 0.0, t_matrix)
+    signed_inf = np.where(num > 0, np.inf, -np.inf)
+    t_matrix = np.where(zero_den & ~zero_num, signed_inf, t_matrix)
+    stats = t_matrix.max(axis=1)
+    stats = np.where(valid, stats, np.nan)
+    return stats, t_matrix, {"invalid_rows": int(np.sum(~valid))}
 
 
 def reference_sequences(spec):

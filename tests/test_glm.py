@@ -104,6 +104,13 @@ class TestMleBinary:
         with pytest.raises(RankDeficientDesignError, match="x_1|arm_"):
             fit_mle(design, np.tile([0.0, 1.0], 5))
 
+    def test_more_columns_than_patients_names_columns(self):
+        # Four arm columns and two covariates for five patients.
+        z = np.random.default_rng(3).normal(size=(5, 2))
+        design = design_from_assignments(np.array([0, 1, 2, 3, 0]), 4, z)
+        with pytest.raises(RankDeficientDesignError, match="dependent columns: \\[.+\\]"):
+            fit_mle(design, np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
+
     def test_binary_outcomes_validated(self):
         design = covariate_design(None, n=4)
         with pytest.raises(ValueError, match="0, 1"):

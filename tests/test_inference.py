@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 from scipy.stats import norm, qmc
 from scipy.stats import t as student_t
 
-from randmcp import inference
-from randmcp.contrasts import DegenerateShapeError, SingularCovarianceError, contrast_matrix
+from randmcp import glm, inference
+from randmcp.contrasts import (
+    ContrastMatrix,
+    DegenerateShapeError,
+    SingularCovarianceError,
+    contrast_matrix,
+)
 from randmcp.data import TrialDataset
 from randmcp.dose_response import (
     CandidateModel,
@@ -39,6 +44,7 @@ from randmcp.inference import (
 from randmcp.glm import RankDeficientDesignError, design_from_assignments, separation_batch
 from randmcp.randomization import (
     RandomizationSpec,
+    enumerate_sequences,
     sample_sequence,
     sample_sequences,
 )
@@ -50,6 +56,7 @@ from oracles import (
     enumerated,
     max_tail_probability_reference,
     population_statistic_reference,
+    residual_statistics_reference,
     separation_lp,
 )
 
@@ -171,6 +178,70 @@ class TestResidualStatistic:
             alone, t_alone, _ = residual_statistics_batch(r, row[None], 4, **kwargs)
             assert alone[0] == stats[i]
             assert np.array_equal(t_alone[0], t_matrix[i])
+
+
+@st.composite
+def residual_batches(draw):
+    """``(k, arms, residual, mu0s)`` for the residual statistic.
+
+    Arms are drawn per patient, so rows often leave an arm short or
+    empty.  Residuals from a few repeated values give arms of zero
+    variance; a constant or all-zero residual gives every contrast a
+    zero variance, with and without signal.
+    """
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    arms = rng.integers(0, k, size=(draw(st.integers(1, 40)), n))
+    kind = draw(st.sampled_from(["normal", "few_values", "constant", "zero"]))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    if kind == "normal":
+        r = rng.normal(size=n) * scale
+    elif kind == "few_values":
+        r = rng.choice([-1.5, 0.0, 0.5, 2.0], size=n) * scale
+    else:
+        r = np.full(n, 0.0 if kind == "zero" else rng.normal() * scale)
+    return k, arms, r, rng.normal(size=(draw(st.integers(1, 6)), k))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestResidualStatisticBits:
+    """The pass-saving residual statistic returns the bits of the whole-array form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=residual_batches(), fixed=st.booleans(),
+           block=st.sampled_from([1, 20, glm.BLOCK_ENTRIES]))
+    def test_matches_whole_array_form(self, batch, fixed, block):
+        k, arms, r, mu0s = batch
+        if fixed:
+            vectors = mu0s - mu0s.mean(axis=1, keepdims=True)
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+            kwargs = {"contrasts": ContrastMatrix(vectors, tuple(map(str, range(len(mu0s)))),
+                                                  "arm_sizes")}
+        else:
+            kwargs = {"mu0s": mu0s}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 0/0 in the reference
+            want = residual_statistics_reference(r, arms, k, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glm, "BLOCK_ENTRIES", block)
+            got = residual_statistics_batch(r, arms, k, **kwargs)
+        assert _same_bits(got[0], want[0])
+        assert _same_bits(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_exact_chunk_matches_whole_array_form(self):
+        # One 20,000-row chunk of the RA(4, 4, 4) reference set: several blocks.
+        spec = RandomizationSpec(procedure="ra", grid=GRID3, n=12, targets=(4, 4, 4))
+        arms, _ = next(enumerate_sequences(spec))
+        r = np.random.default_rng(41).normal(size=12)
+        contrasts = contrast_matrix(default_candidate_set(), GRID3, arm_sizes=(4, 4, 4))
+        got = residual_statistics_batch(r, arms, 3, contrasts=contrasts)
+        want = residual_statistics_reference(r, arms, 3, contrasts=contrasts)
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
 
 class TestRefitStatistic:
@@ -764,6 +835,16 @@ class TestPopulationTest:
         full = population_test(data, default_candidate_set(), rng=substream(2, 2))
         assert full.p_value >= norm.sf(full.statistic) - 1e-3
 
+    def test_missing_rng_raises_for_two_or_more_candidates(self):
+        # An unseeded reference gave a different p on every call.
+        data = self._trial_data(seed=5)
+        with pytest.raises(ValueError, match="rng"):
+            population_test(data, default_candidate_set())
+        with pytest.raises(ValueError, match="rng"):
+            max_tail_probability(1.0, trial_corr())
+        one = population_test(data, LINEAR_ONLY)  # closed form, draws nothing
+        assert one.p_value == population_test(data, LINEAR_ONLY, rng=substream(2, 4)).p_value
+
     def test_separation_reported_for_mle_fit(self):
         data = self._trial_data(seed=4)
         y = data.outcomes.copy()
@@ -887,6 +968,16 @@ class TestDegenerateInputsTyped:
         with pytest.raises(RankDeficientDesignError, match="rank deficient"):
             analyze(data, TestMethod(id=method_id, n_rand=100), default_candidate_set(),
                     spec=spec, rng=substream(77, 0))
+
+    def test_more_columns_than_patients_is_rank_deficient(self):
+        # Four arm columns and two covariates for five patients.
+        spec = RandomizationSpec(procedure="cr", grid=GRID4, n=5)
+        rng = substream(79, 0)
+        data = toy_dataset([0, 1, 2, 3, 0], [0.0, 1.0, 0.0, 1.0, 1.0], GRID4,
+                           covariates=rng.normal(size=(5, 2)))
+        with pytest.raises(RankDeficientDesignError, match="rank deficient"):
+            randomization_test(data, spec, TestMethod(id="glm_mle", n_rand=20),
+                               default_candidate_set(), rng)
 
     @pytest.mark.parametrize("method_id", ["glm_mle", "glm_firth"])
     def test_exact_refit_raises_on_constant_covariate(self, method_id):

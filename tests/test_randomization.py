@@ -1,12 +1,14 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from oracles import enumerated, reference_sequences, sequence_probability
+from oracles import enumerated, reference_sequences, sequence_probability, unrank_multiset
 
 from randmcp import randomization
 from randmcp.dose_response import DoseGrid
@@ -235,6 +237,63 @@ class TestChunkedEnumeration:
             enumerate_sequences(refused, cap=2 ** 64)
         assert err.value.count == 2 ** 58
         assert err.value.cap == (2 ** 63 - 1) // 58
+
+
+@st.composite
+def block_specs(draw):
+    """RA and PBD reference sets with k = 2-5 arms, n <= 14 and at most 40,000 rows."""
+    k = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        targets = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k)
+                       .filter(lambda t: sum(t) <= 14))
+        assume(randomization._multinomial(targets) <= 40_000)
+        return RandomizationSpec(procedure="ra", grid=_grid(k), n=sum(targets), targets=targets)
+    block = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)
+                 .filter(lambda b: 1 <= sum(b) <= 7))
+    n_blocks = draw(st.integers(1, 14 // sum(block)))
+    assume(randomization._multinomial(block) ** n_blocks <= 40_000)
+    return RandomizationSpec(procedure="pbd", grid=_grid(k), n=n_blocks * sum(block),
+                             block=block)
+
+
+def unranked(spec):
+    """Every row of a RA or PBD reference set, each block unranked position by position."""
+    block = spec.composition
+    table = unrank_multiset(block, np.arange(randomization._multinomial(block)))
+    digits = np.array(list(itertools.product(range(table.shape[0]), repeat=spec.n_blocks)))
+    return table[digits].reshape(-1, spec.n)
+
+
+class TestPrefixSuffixTables:
+    @settings(max_examples=80, deadline=None)
+    @given(spec=block_specs(), chunk=st.sampled_from([1, 3, 7, randomization.CHUNK]))
+    def test_chunks_match_unranking_oracle(self, spec, chunk):
+        want = unranked(spec)
+        assume(want.shape[0] // chunk <= 5_000)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randomization, "CHUNK", chunk)
+            chunks = list(enumerate_sequences(spec))
+        assert [a.shape[0] for a, _ in chunks] == [
+            min(chunk, want.shape[0] - lo) for lo in range(0, want.shape[0], chunk)]
+        arms = np.concatenate([a for a, _ in chunks])
+        probs = np.concatenate([p for _, p in chunks])
+        assert arms.dtype == want.dtype and np.array_equal(arms, want)
+        assert np.array_equal(probs, np.full(want.shape[0], 1.0 / want.shape[0]))
+
+    def test_memory_stays_within_a_few_chunks(self):
+        # 756,756 rows of 15 patients: the whole set would be 38 chunks.
+        spec = RandomizationSpec(procedure="ra", grid=_grid(3), n=15, targets=(5, 5, 5))
+        chunk_bytes = randomization.CHUNK * spec.n * np.dtype(np.int64).itemsize
+        rows = 0
+        tracemalloc.start()
+        try:
+            for arms, _ in enumerate_sequences(spec):
+                rows += arms.shape[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows == count_sequences(spec)[0]
+        assert peak < 4 * chunk_bytes
 
 
 class TestMembership:
