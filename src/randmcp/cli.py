@@ -30,7 +30,7 @@ import scipy
 
 from .data import read_trial_csv
 from .glm import SEP_NONE, SEP_UNCHECKED, available_cpus
-from .inference import METHOD_IDS, analyze
+from .inference import METHOD_IDS, analyze, check_exact
 from .presets import build_preset_dict, preset_names
 from .randomization import (
     ENUMERATION_CAP,
@@ -237,8 +237,8 @@ def _progress_to_stderr(enabled):
 def _read_analyze(args):
     cfg = _with_overrides(_load_json(args.config), args)
     spec, method, candidates, endpoint, seed = analysis_from_dict(cfg)
-    if args.exact and not method.is_randomization:
-        raise ValueError(f"--exact needs a randomization method; {method.id} has no exact test")
+    if args.exact:
+        check_exact(method)
     data = read_trial_csv(args.data, grid=spec.grid, endpoint=endpoint)
     return partial(_run_analyze, args, cfg, data, method, candidates, spec, seed)
 

@@ -64,12 +64,10 @@ class TrialDataset:
         return np.bincount(self.arms, minlength=self.grid.k)
 
 
-def read_trial_csv(path, grid: DoseGrid | None = None, endpoint: str = "binary") -> TrialDataset:
+def read_trial_csv(path, grid: DoseGrid, endpoint: str = "binary") -> TrialDataset:
     """Load a trial from CSV columns enrollment_index, dose, outcome, covariate_*.
 
-    Rows are sorted by enrollment_index.  When no grid is supplied, one
-    is inferred from the distinct dose values in the file; doses not in
-    the supplied grid are rejected.
+    Rows are sorted by enrollment_index; a dose not in ``grid`` is rejected.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -88,8 +86,6 @@ def read_trial_csv(path, grid: DoseGrid | None = None, endpoint: str = "binary")
     outcomes = np.array([float(r["outcome"]) for r in rows])
     covariates = np.array([[float(r[c]) for c in cov_names] for r in rows]) \
         if cov_names else np.empty((len(rows), 0))
-    if grid is None:
-        grid = DoseGrid(doses=tuple(sorted(set(doses.tolist()))))
     lookup = {d: j for j, d in enumerate(grid.doses)}
     try:
         arms = np.array([lookup[d] for d in doses], dtype=int)

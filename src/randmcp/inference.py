@@ -21,8 +21,7 @@ import numpy as np
 from scipy.special import chdtr, chdtrc, fdtr, fdtrc, ndtr, ndtri, stdtr
 
 from . import contrasts, glm
-from .contrasts import (  # optimal_contrast is uncalled here; perfbench/trace.py patches it
-    ContrastMatrix,
+from .contrasts import (  # contrast_matrix and optimal_contrast: only for perfbench/trace.py
     _optimal_contrasts_batch,
     contrast_matrix,
     optimal_contrast,
@@ -147,10 +146,10 @@ def _contrast_statistics(mu0s: np.ndarray, mu: np.ndarray, cov: np.ndarray):
 def glm_statistics_batch(
     data: TrialDataset,
     arms_matrix: np.ndarray,
-    candidates: CandidateSet,
-    estimator: str = "mle",
+    mu0s: np.ndarray,
+    estimator: str,
 ):
-    """Refit statistic for every row of ``arms_matrix``.
+    """Refit statistic for every row of ``arms_matrix`` under the shapes ``mu0s`` (M, k).
 
     Returns ``(stats, t_matrix, diag)`` where ``stats`` has one entry
     per assignment, ``t_matrix`` the per-contrast values, and ``diag``
@@ -158,7 +157,6 @@ def glm_statistics_batch(
     only the dose indicators move.
     """
     k = data.grid.k
-    mu0s, _ = shape_matrix(candidates, data.grid)
     family = _family(data)
     if family == "gaussian":
         fit_many = glm.fit_gaussian_many
@@ -176,15 +174,16 @@ def residual_statistics_batch(
     residual: np.ndarray,
     arms_matrix: np.ndarray,
     k: int,
-    contrasts: ContrastMatrix | None = None,
-    mu0s: np.ndarray | None = None,
+    mu0s: np.ndarray,
+    contrasts: np.ndarray | None = None,
 ):
     """Residual statistic for every assignment row, as ``(stats, t_matrix, diag)``.
 
-    With fixed target arm sizes, pass the precomputed ``contrasts``;
-    under complete randomization pass ``mu0s`` instead and per-row
-    contrasts are rebuilt from the realized arm sizes.  Rows with an
-    arm of fewer than two patients are flagged invalid (NaN statistic).
+    Fixed arm sizes take the (M, k) ``contrasts`` of
+    :func:`residual_design_contrasts`; without them (CR) each row's
+    contrasts come from the shapes ``mu0s`` and its realized arm sizes.
+    Rows with an arm of fewer than two patients are flagged invalid (NaN
+    statistic).
     Arms with zero residual variance contribute no noise: if every
     contrast's variance vanishes, the statistic is 0 for a zero signal
     and +/-inf otherwise.
@@ -194,22 +193,22 @@ def residual_statistics_batch(
     one block for the next.  Every step is row-local, so a row's values
     do not depend on its block.
     """
-    if contrasts is None and mu0s is None:
-        raise ValueError("need either fixed contrasts or candidate shapes")
     r = np.asarray(residual, dtype=float)
+    scale = float(np.max(np.abs(r))) if r.size else 0.0
+    per_call = (r, r ** 2, scale, k, mu0s, contrasts)
     rows = max(1, glm.BLOCK_ENTRIES // max(arms_matrix.shape[1], 1))
-    parts = [_residual_block(r, arms_matrix[lo:lo + rows], k, contrasts, mu0s)
+    parts = [_residual_block(arms_matrix[lo:lo + rows], *per_call)
              for lo in range(0, max(arms_matrix.shape[0], 1), rows)]
     stats, t_matrix, valid = (np.concatenate(part) for part in zip(*parts))
     return stats, t_matrix, {"invalid_rows": valid.size - int(np.count_nonzero(valid))}
 
 
-def _residual_block(r, arms_matrix, k, contrasts, mu0s):
-    """``(stats, t_matrix, valid)`` of :func:`residual_statistics_batch` on one row block."""
+def _residual_block(arms_matrix, r, r2, scale, k, mu0s, contrasts):
+    """``(stats, t_matrix, valid)`` of one row block; ``r2`` is ``r ** 2``, ``scale`` max |r|."""
     offsets = glm.arm_offsets(arms_matrix, k)
     counts = glm.arm_sums(offsets, k)
     sums = glm.arm_sums(offsets, k, r)
-    sqs = glm.arm_sums(offsets, k, r ** 2)
+    sqs = glm.arm_sums(offsets, k, r2)
     # Reductions over the few arms or contrasts of a row run column by
     # column: a small last axis makes numpy's per-row reductions slow.
     valid = counts[:, 0] >= 2
@@ -223,13 +222,12 @@ def _residual_block(r, arms_matrix, k, contrasts, mu0s):
         # einsum forms each (row, contrast) value as one dot product over
         # the arms, whether the contrasts are one (M, k) matrix or a
         # (B, M, k) stack, so both give the same bits.
-        c, subscripts = contrasts.vectors, "mk,bk->bm"
+        c, subscripts = contrasts, "mk,bk->bm"
     else:
         # Design weights of the realized arm sizes: covariance diag(1/n_j).
         c, subscripts = _optimal_contrasts_batch(mu0s, np.eye(k) / safe[:, None, :]), "bmk,bk->bm"
     num = np.einsum(subscripts, c, means)
     den = np.einsum(subscripts, c ** 2, variances / safe)
-    scale = float(np.max(np.abs(r))) if r.size else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t_matrix = num / np.sqrt(den)
     zero_den = den <= (1e-14 * (scale + 1e-300)) ** 2
@@ -266,13 +264,11 @@ def fit_residual_model(data: TrialDataset, estimator: str = "mle"):
     return fit, glm.residuals(fit, design, data.outcomes)
 
 
-def residual_design_contrasts(
-    spec: RandomizationSpec, candidates: CandidateSet
-) -> ContrastMatrix | None:
-    """Fixed design-weight contrasts, or None when sizes vary per draw (CR)."""
+def residual_design_contrasts(spec: RandomizationSpec, mu0s: np.ndarray) -> np.ndarray | None:
+    """Contrasts (M, k) of ``mu0s`` at the target sizes' diag(1/n_j); None under CR."""
     if spec.procedure == CR:
         return None
-    return contrast_matrix(candidates, spec.grid, arm_sizes=spec.expected_arm_sizes())
+    return _optimal_contrasts_batch(mu0s, np.diag(1.0 / spec.expected_arm_sizes())[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +339,7 @@ def _randomization_statistic(
     min_arm = 2 if method.statistic == "residual" else 1
     sizes = spec.expected_arm_sizes()
     # The most patients that every arm can hold at once in one sequence.
-    fill = spec.n // spec.k * (sizes.min() > 0) if spec.procedure == CR else sizes.min()
+    fill = spec.n // spec.k if spec.procedure == CR else sizes.min()
     if fill < min_arm:
         raise DegenerateVarianceError(
             f"the {method.id} statistic needs {min_arm} or more patients in every arm, which "
@@ -361,20 +357,17 @@ def _randomization_statistic(
                 f"observed data has an arm with < 2 patients: {obs_counts.tolist()}"
             )
         fit, residual = fit_residual_model(data, method.estimator)
-        fixed = residual_design_contrasts(spec, candidates)
+        fixed = residual_design_contrasts(spec, mu0s)
 
         def evaluate(arms_matrix):
-            return residual_statistics_batch(
-                residual, arms_matrix, data.grid.k,
-                contrasts=fixed, mu0s=None if fixed is not None else mu0s,
-            )
+            return residual_statistics_batch(residual, arms_matrix, data.grid.k, mu0s, fixed)
         return evaluate, labels, min_arm, fit, diagnostics
 
     # A refit of a rank-deficient design has no unique coefficients.
     glm._check_rank(glm.design_from_assignments(data.arms, data.grid.k, data.covariates))
 
     def evaluate(arms_matrix):
-        return glm_statistics_batch(data, arms_matrix, candidates, estimator=method.estimator)
+        return glm_statistics_batch(data, arms_matrix, mu0s, method.estimator)
     return evaluate, labels, min_arm, None, diagnostics
 
 
@@ -452,6 +445,7 @@ def exact_randomization_pvalue(
     reference set above ``randomization.ENUMERATION_CAP`` sequences
     raises :class:`~randmcp.randomization.EnumerationTooLargeError`.
     """
+    check_exact(method)
     evaluate, labels, min_arm, _, diagnostics = _randomization_statistic(
         data, spec, method, candidates,
     )
@@ -680,6 +674,16 @@ def population_test(
     )
 
 
+def check_exact(method: TestMethod) -> None:
+    """Raise ``ValueError`` unless ``method`` is a randomization method under the plain rule."""
+    if not method.is_randomization:
+        raise ValueError(f"the {method.id} method has no exact test; an exact test needs a "
+                         "randomization method")
+    if method.pvalue_rule != "plain":
+        raise ValueError(f"the exact test takes no pvalue_rule {method.pvalue_rule!r}; "
+                         "its p-value is the exact tail mass")
+
+
 def analyze(
     data: TrialDataset,
     method: TestMethod,
@@ -691,13 +695,12 @@ def analyze(
     """Run one method on one dataset, dispatching on its kind.
 
     ``exact=True`` enumerates the reference set of a randomization
-    method; the population method has none, so it raises ``ValueError``.
-    Every other call draws random numbers and needs an ``rng``.
+    method; :func:`check_exact` says which methods have one.  Every other
+    call draws random numbers and needs an ``rng``.
     """
-    if exact and not method.is_randomization:
-        raise ValueError(f"the {method.id} method has no exact test; exact=True needs a "
-                         "randomization method")
-    if not exact and rng is None:
+    if exact:
+        check_exact(method)
+    elif rng is None:
         raise ValueError(f"the {method.id} test draws random numbers and needs an rng")
     if method.id == "population":
         return population_test(data, candidates, method=method, rng=rng)

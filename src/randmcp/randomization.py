@@ -45,8 +45,8 @@ class RandomizationSpec:
     ``targets`` are the per-arm totals for the random allocation rule,
     which is a permuted block design with one block of these totals;
     ``block`` is the per-arm composition of one permuted block;
-    ``probs`` are the per-arm assignment probabilities for complete
-    randomization (defaults to equal).
+    ``weights`` are the positive integer allocation ratio of complete
+    randomization (equal when not given), from which its ``probs`` follow.
     """
 
     procedure: str
@@ -54,8 +54,7 @@ class RandomizationSpec:
     n: int
     targets: tuple[int, ...] | None = None
     block: tuple[int, ...] | None = None
-    probs: tuple[float, ...] | None = None
-    weights: tuple[int, ...] | None = None  # CR: integer allocation ratio
+    weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if self.procedure not in PROCEDURES:
@@ -84,28 +83,21 @@ class RandomizationSpec:
                     f"n={self.n} is not a whole number of blocks of length {sum(block)}; "
                     "partial blocks are not supported"
                 )
-        else:
-            if self.weights is not None and self.probs is not None:
-                raise ValueError("give complete randomization weights or probs, not both")
-            if self.weights is not None:
-                weights = tuple(int(w) for w in self.weights)
-                object.__setattr__(self, "weights", weights)
-                if len(weights) != k or any(w < 1 for w in weights):
-                    raise ValueError(f"need {k} positive integer arm weights")
-                total = sum(weights)
-                object.__setattr__(self, "probs", tuple(w / total for w in weights))
-            else:
-                probs = self.probs if self.probs is not None else tuple([1.0 / k] * k)
-                probs = tuple(float(p) for p in probs)
-                object.__setattr__(self, "probs", probs)
-                if len(probs) != k or any(p < 0 for p in probs):
-                    raise ValueError(f"need {k} nonnegative arm probabilities")
-                if abs(sum(probs) - 1.0) > 1e-12:
-                    raise ValueError(f"arm probabilities must sum to 1, got {sum(probs)}")
+        elif self.weights is not None:
+            weights = tuple(int(w) for w in self.weights)
+            object.__setattr__(self, "weights", weights)
+            if len(weights) != k or any(w < 1 for w in weights):
+                raise ValueError(f"need {k} positive integer arm weights")
 
     @property
     def k(self) -> int:
         return self.grid.k
+
+    @property
+    def probs(self) -> tuple[float, ...]:
+        """Per-arm assignment probabilities of complete randomization."""
+        weights = self.weights or (1,) * self.k
+        return tuple(w / sum(weights) for w in weights)
 
     @property
     def composition(self) -> tuple[int, ...]:
@@ -175,8 +167,7 @@ def is_member(spec: RandomizationSpec, seq) -> bool:
     if seq.shape != (spec.n,) or np.any((seq < 0) | (seq >= spec.k)):
         return False
     if spec.procedure == CR:
-        probs = np.asarray(spec.probs)
-        return bool(np.all(probs[seq] > 0))
+        return True
     want = list(spec.composition)
     blocks = seq.reshape(spec.n_blocks, -1)
     return all(np.bincount(b, minlength=spec.k).tolist() == want for b in blocks)

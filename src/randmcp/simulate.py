@@ -455,6 +455,8 @@ def _replay_study(table, spec, methods, candidates, alpha, n_sim, seed,
                   include_baseline_covariate, sort_by_baseline, name) -> _Study:
     """The study a replay runs; raises ValueError for arguments it cannot run."""
     _check_size(n_sim, alpha)
+    if not methods:
+        raise ValueError("a potential-outcomes replay needs at least one method")
     if table.n != spec.n:
         raise ValueError(f"table has {table.n} rows but the procedure expects {spec.n}")
     if table.k != spec.grid.k:
@@ -531,11 +533,8 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
         d["targets"] = list(spec.targets)
     if spec.block is not None:
         d["block"] = list(spec.block)
-    if spec.procedure == "cr":
-        if spec.weights is not None:
-            d["weights"] = list(spec.weights)
-        elif spec.probs is not None:
-            d["probs"] = list(spec.probs)
+    if spec.procedure == "cr" and spec.weights is not None:
+        d["weights"] = list(spec.weights)
     return d
 
 
@@ -564,7 +563,7 @@ def _model_dict(model: CandidateModel) -> dict:
     return out
 
 
-_SPEC_KEYS = ("doses", "procedure", "n", "targets", "block", "probs", "weights")
+_SPEC_KEYS = ("doses", "procedure", "n", "targets", "block", "weights")
 _REPLAY_KEYS = {
     "name", "potential_outcomes", "endpoint", "candidates", "seed", "n_sim", "n_rand",
     "methods", "alpha", "include_baseline_covariate", "sort_by_baseline", *_SPEC_KEYS,
@@ -576,7 +575,10 @@ _CONTRASTS_KEYS = {"candidates", "arm_sizes", "covariance", *_SPEC_KEYS}
 
 def spec_from_dict(d: dict) -> RandomizationSpec:
     """The randomization procedure a config declares under ``_SPEC_KEYS``."""
-    design = {key: tuple(d[key]) for key in ("targets", "block", "probs", "weights") if key in d}
+    # counts and enumerate read no other keys, so they would run CR probs as equal allocation.
+    if "probs" in d:
+        raise ValueError("probs is not a config field; give CR allocation as integer weights")
+    design = {key: tuple(d[key]) for key in ("targets", "block", "weights") if key in d}
     return RandomizationSpec(procedure=d["procedure"], grid=DoseGrid(doses=tuple(d["doses"])),
                              n=_config_value(d, "n", int), **design)
 

@@ -340,7 +340,7 @@ def unrank_multiset(counts, index):
     return out
 
 
-def residual_statistics_reference(residual, arms_matrix, k, contrasts=None, mu0s=None):
+def residual_statistics_reference(residual, arms_matrix, k, mu0s, contrasts=None):
     """``inference.residual_statistics_batch`` with every pass over whole (B, M, k) arrays."""
     b = arms_matrix.shape[0]
     r = np.asarray(residual, dtype=float)
@@ -353,7 +353,7 @@ def residual_statistics_reference(residual, arms_matrix, k, contrasts=None, mu0s
     means = sums / safe
     variances = np.clip(sqs - sums ** 2 / safe, 0.0, None) / np.where(counts >= 2, counts - 1.0, 1.0)
     if contrasts is not None:
-        c = np.broadcast_to(contrasts.vectors, (b,) + contrasts.vectors.shape)
+        c = np.broadcast_to(contrasts, (b,) + contrasts.shape)
     else:
         c = _optimal_contrasts_batch(mu0s, np.eye(k) / safe[:, None, :])
     num = np.einsum("bmk,bk->bm", c, means)

@@ -168,6 +168,13 @@ class TestSimulateCommand:
         assert "alpah" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_replay_without_methods_exits_2_before_any_trial(self, replay_config, tmp_path,
+                                                               capsys):
+        assert run_cli("simulate", "--config", str(replay_config(methods=[])),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert "at least one method" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_without_name_exits_2(self, tiny_scenario, tmp_path, capsys):
         config = json.loads(tiny_scenario.read_text())
         del config["name"]
@@ -440,7 +447,19 @@ class TestAnalyzeCommand:
         out = tmp_path / "res.json"
         assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config),
                        "--method", "population", "--exact", "--out", str(out)) == 2
-        assert "--exact needs a randomization method; population" in capsys.readouterr().err
+        assert "population method has no exact test" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exact_add_one_exits_2(self, two_arm_config, tmp_path, capsys):
+        config = json.loads(two_arm_config.read_text())
+        config["pvalue_rule"] = "add_one"
+        two_arm_config.write_text(json.dumps(config))
+        trial = tmp_path / "trial.csv"
+        write_two_arm_trial(trial, [1, 0, 1, 1, 0, 1, 0, 0])
+        out = tmp_path / "res.json"
+        assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config),
+                       "--method", "residual_mle", "--exact", "--out", str(out)) == 2
+        assert "pvalue_rule 'add_one'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_dose_level_exits_2(self, two_arm_config, tmp_path):
@@ -556,6 +575,48 @@ class TestContrastsCommand:
         assert field in capsys.readouterr().err
 
 
+class TestCrAllocation:
+    """Complete randomization's allocation is stated by integer weights alone."""
+
+    CR = {"doses": [0.0, 10.0, 25.0, 100.0], "procedure": "cr", "n": 7}
+
+    def test_weights_count_die_faces_and_equal_allocation_arms(self, tmp_path, capsys):
+        cfg = tmp_path / "cr.json"
+        cfg.write_text(json.dumps({**self.CR, "weights": [1, 2, 2, 2]}))
+        assert run_cli("counts", "--config", str(cfg)) == 0
+        assert f"sequences={7 ** 7}" in capsys.readouterr().out
+        cfg.write_text(json.dumps(self.CR))
+        assert run_cli("counts", "--config", str(cfg)) == 0
+        assert f"sequences={4 ** 7}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["counts", "enumerate"])
+    def test_probs_exit_2_naming_the_field(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cr.json"
+        cfg.write_text(json.dumps({**self.CR, "probs": [1 / 7, 2 / 7, 2 / 7, 2 / 7]}))
+        out = tmp_path / "seqs.csv"
+        extra = ["--out", str(out)] if command == "enumerate" else []
+        assert run_cli(command, "--config", str(cfg), *extra) == 2
+        assert "probs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probs_in_a_scenario_exit_2_naming_the_field(self, tiny_scenario, tmp_path,
+                                                         capsys):
+        config = json.loads(tiny_scenario.read_text())
+        del config["block"]
+        config.update(procedure="cr", probs=[0.25] * 4)
+        tiny_scenario.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", str(tiny_scenario),
+                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
+        assert "probs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_equal_allocation_records_no_design_field(self):
+        config = simulate.scenario_from_dict({"name": "cr", **self.CR})
+        assert not {"probs", "weights"} & set(simulate.scenario_to_dict(config))
+        weighted = simulate.scenario_from_dict({"name": "cr", **self.CR, "weights": [1, 2, 2, 2]})
+        assert simulate.scenario_to_dict(weighted)["weights"] == [1, 2, 2, 2]
+
+
 class TestCountsCommand:
     def test_trial_counts_exact(self, capsys):
         assert run_cli("counts", "--preset", "n49_pbd_notrend") == 0
@@ -667,7 +728,7 @@ class TestPinnedOutputs:
         cfg = tmp_path / "toy.json"
         cfg.write_text(json.dumps({"doses": list(grid.doses), "procedure": "ra", "n": 9,
                                    "targets": [3, 3, 3], "method": "residual_firth",
-                                   "pvalue_rule": "add_one", "seed": 2}))
+                                   "seed": 2}))
         out = tmp_path / "res.json"
         assert run_cli("analyze", "--data", str(tmp_path / "trial.csv"), "--config", str(cfg),
                        "--exact", "--out", str(out)) == 0
@@ -722,7 +783,9 @@ PINNED = {
     "scenario_summary": "cb340de310a7f63bec9720ed5253fa6694ae2a5c88328aa5dcd96dc562592ac9",
     "replay_table": "2a858664bf0f9734f55b231c84207b1230a8e272b76dc53a965640f730ab80b8",
     "replay_summary": "8bc583f80a0f8de23183ccb6a00d5910fa997085f21bb4f4b87f219f4f1870e7",
-    "analyze_exact": "8069abc26bba7c686e4dbcdf305eae40b5644d60e3a153f221146a0369f62e01",
+    # Re-pinned when the exact test stopped taking pvalue_rule "add_one", which it had
+    # ignored: the config lost that key, so only config_sha256 moved.
+    "analyze_exact": "03753826d5b2babdd72e479794451b4137e469955cfd0f433f70fa08a5a4d873",
     "analyze_population": "fea84c5670ba13ce1869bac77631e9f8aad3ae246676ec91f8550634256a6f28",
     "analyze_glm_mle": "2adfd0eaed418379ca648fafab17326c61a562755e7ac1aaf9d407e5500599f0",
     "contrasts": "9af62625d3dc2665ad8c80a4202f195cc2a535e8036f9c85daa18e133f452ab8",

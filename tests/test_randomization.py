@@ -40,14 +40,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="partial blocks"):
             RandomizationSpec(procedure="pbd", grid=GRID4, n=50, block=(1, 2, 2, 2))
 
-    def test_cr_probs_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            RandomizationSpec(procedure="cr", grid=GRID2, n=10, probs=(0.6, 0.6))
+    def test_cr_allocation_is_stated_by_weights_alone(self):
+        with pytest.raises(TypeError, match="probs"):
+            RandomizationSpec(procedure="cr", grid=GRID2, n=10, probs=(0.5, 0.5))
 
-    def test_cr_weights_and_probs_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            RandomizationSpec(procedure="cr", grid=GRID2, n=10,
-                              probs=(0.5, 0.5), weights=(1, 1))
+    @pytest.mark.parametrize("weights", [(1, 0), (1, 2, 2), (1, -1)])
+    def test_cr_weights_must_be_positive_one_per_arm(self, weights):
+        with pytest.raises(ValueError, match="positive integer arm weights"):
+            RandomizationSpec(procedure="cr", grid=GRID2, n=10, weights=weights)
+
+    def test_cr_probs_follow_the_weights(self):
+        assert TRIAL_CR.probs == (1 / 7, 2 / 7, 2 / 7, 2 / 7)
+        assert RandomizationSpec(procedure="cr", grid=GRID4, n=5).probs == (0.25,) * 4
 
     def test_unknown_procedure(self):
         with pytest.raises(ValueError, match="unknown procedure"):
@@ -189,7 +193,7 @@ def _grid(k):
 @st.composite
 def small_specs(draw):
     """RA, PBD (blocks may hold zero of an arm) and CR reference sets of at most 13,824 rows."""
-    procedure = draw(st.sampled_from(["ra", "pbd", "cr_weights", "cr_zero"]))
+    procedure = draw(st.sampled_from(["ra", "pbd", "cr_weights", "cr_equal"]))
     k = draw(st.integers(2, 4))
     if procedure == "ra":
         targets = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)
@@ -205,9 +209,7 @@ def small_specs(draw):
     if procedure == "cr_weights":
         weights = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
         return RandomizationSpec(procedure="cr", grid=_grid(k), n=n, weights=weights)
-    probs = [0.0] + [1.0 / (k - 1)] * (k - 1)
-    return RandomizationSpec(procedure="cr", grid=_grid(k), n=n,
-                             probs=draw(st.permutations(probs)))
+    return RandomizationSpec(procedure="cr", grid=_grid(k), n=n)
 
 
 class TestChunkedEnumeration:

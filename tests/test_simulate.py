@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from randmcp import glm
+from randmcp import glm, simulate
 from randmcp.data import PotentialOutcomeTable, TrialDataset
 from randmcp.dose_response import DoseGrid, default_candidate_set, wide_range_candidate_set
 from randmcp.glm import SEP_NAMES, design_from_assignments
@@ -386,6 +386,17 @@ class TestPotentialOutcomes:
                 table, spec, (TestMethod(id="residual_mle", n_rand=10),),
                 wide_range_candidate_set(1000.0), n_sim=2, seed=1,
             )
+
+    def test_empty_method_tuple_rejected_before_any_trial(self, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("ran a trial of a study without methods")
+
+        monkeypatch.setattr(simulate, "_trial_range", no_trial)
+        table = synthetic_potential_table(20, GRID5, substream(6, 0))
+        spec = RandomizationSpec(procedure="ra", grid=GRID5, n=20, targets=(4,) * 5)
+        with pytest.raises(ValueError, match="at least one method"):
+            simulate_from_potential_outcomes(table, spec, (), wide_range_candidate_set(1000.0),
+                                             n_sim=2, seed=1)
 
 
 class TestPresetsAndSerialization:
