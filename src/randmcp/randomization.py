@@ -47,6 +47,7 @@ class RandomizationSpec:
     ``block`` is the per-arm composition of one permuted block;
     ``weights`` are the positive integer allocation ratio of complete
     randomization (equal when not given), from which its ``probs`` follow.
+    ``n`` and every design count must be a Python or numpy integer.
     """
 
     procedure: str
@@ -59,34 +60,37 @@ class RandomizationSpec:
     def __post_init__(self):
         if self.procedure not in PROCEDURES:
             raise ValueError(f"unknown procedure {self.procedure!r}, expected one of {PROCEDURES}")
+        if not _is_integer(self.n):
+            raise ValueError(f"n must be an integer, not {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < 1:
             raise ValueError("n must be positive")
+        for name in ("targets", "block", "weights"):
+            counts = getattr(self, name)
+            if counts is not None:
+                if not all(map(_is_integer, counts)):
+                    raise ValueError(f"{name} must list integers, not {counts!r}")
+                object.__setattr__(self, name, tuple(int(c) for c in counts))
         k = self.grid.k
         if self.procedure == RA:
             if self.targets is None:
                 raise ValueError("random allocation needs per-arm targets")
-            targets = tuple(int(t) for t in self.targets)
-            object.__setattr__(self, "targets", targets)
-            if len(targets) != k or any(t < 1 for t in targets):
+            if len(self.targets) != k or any(t < 1 for t in self.targets):
                 raise ValueError(f"need {k} per-arm targets, each at least 1")
-            if sum(targets) != self.n:
-                raise ValueError(f"targets {targets} do not sum to n={self.n}")
+            if sum(self.targets) != self.n:
+                raise ValueError(f"targets {self.targets} do not sum to n={self.n}")
         elif self.procedure == PBD:
             if self.block is None:
                 raise ValueError("permuted blocks need a per-arm block composition")
-            block = tuple(int(m) for m in self.block)
-            object.__setattr__(self, "block", block)
-            if len(block) != k or any(m < 0 for m in block) or sum(block) < 1:
+            if len(self.block) != k or any(m < 0 for m in self.block) or sum(self.block) < 1:
                 raise ValueError(f"block composition must list {k} nonnegative counts")
-            if self.n % sum(block) != 0:
+            if self.n % sum(self.block) != 0:
                 raise ValueError(
-                    f"n={self.n} is not a whole number of blocks of length {sum(block)}; "
+                    f"n={self.n} is not a whole number of blocks of length {sum(self.block)}; "
                     "partial blocks are not supported"
                 )
         elif self.weights is not None:
-            weights = tuple(int(w) for w in self.weights)
-            object.__setattr__(self, "weights", weights)
-            if len(weights) != k or any(w < 1 for w in weights):
+            if len(self.weights) != k or any(w < 1 for w in self.weights):
                 raise ValueError(f"need {k} positive integer arm weights")
 
     @property
@@ -115,6 +119,11 @@ class RandomizationSpec:
         if self.procedure == CR:
             return np.asarray(self.probs, dtype=float) * self.n
         return np.asarray(self.composition, dtype=float) * self.n_blocks
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bools, floats and everything else are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def sample_sequences(spec: RandomizationSpec, size: int, rng: np.random.Generator) -> np.ndarray:

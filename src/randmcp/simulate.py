@@ -161,10 +161,7 @@ class StudyResult:
     procedure: str
     time_trend: str
     alpha: float
-    p0: float
-    pk: float
     n_sim: int
-    n_rand: int
     seed: int
     methods: list[MethodSummary]
     separation: dict
@@ -180,22 +177,6 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 # The trial engine shared by power studies and potential-outcome replay
 # ---------------------------------------------------------------------------
-
-def _trial_diagnostics(data: TrialDataset, covariate_in_analysis: bool) -> dict:
-    """Separation code (an index into ``glm.SEP_NAMES``) plus degenerate-arm flags."""
-    k = data.grid.k
-    sizes = data.arm_sizes()
-    succ = np.bincount(data.arms, weights=data.outcomes, minlength=k)
-    degenerate = (succ == 0) | (succ == sizes)
-    out = {
-        "any_arm_degenerate": bool(np.any(degenerate & (sizes > 0))),
-        "placebo_degenerate": bool(degenerate[0] and sizes[0] > 0),
-    }
-    if data.endpoint == "binary":
-        x = data.covariates if covariate_in_analysis else None
-        out["separation_code"] = int(separation_batch(data.arms[None, :], data.outcomes, x, k)[0])
-    return out
-
 
 def _run_methods_on_trial(
     data: TrialDataset,
@@ -232,23 +213,32 @@ def _run_methods_on_trial(
 
 @dataclass(frozen=True)
 class _BinaryTrials:
-    """Trial ``i`` of a binary scenario: its analysis data and separation flags."""
+    """Trial ``i`` of a binary scenario: its analysis data and separation flags.
+
+    The flags classify the analysis data, so a scenario that leaves the
+    covariate out of the analysis judges separation on the arms alone.
+    """
 
     config: ScenarioConfig
 
     def __call__(self, trial: int) -> tuple[TrialDataset, dict]:
         config = self.config
         data = generate_binary_trial(config, substream(config.seed, _GEN, trial))
-        diag = _trial_diagnostics(data, config.covariate_in_analysis)
-        code = diag.get("separation_code", 0)
-        flags = {
+        if not config.covariate_in_analysis:
+            data = data.without_covariates()
+        k = data.grid.k
+        code = int(separation_batch(data.arms[None], data.outcomes, data.covariates, k)[0])
+        failures, successes = np.bincount(data.arms + k * (data.outcomes == 1.0),
+                                          minlength=2 * k).reshape(2, k)
+        # An arm with patients but a single outcome level.
+        degenerate = (failures + successes > 0) & ((failures == 0) | (successes == 0))
+        return data, {
             "mle_nonexistent": code > 0,
             "complete": code == 2,
             "quasicomplete": code == 1,
-            "placebo_degenerate": diag["placebo_degenerate"],
-            "any_arm_degenerate": diag["any_arm_degenerate"],
+            "placebo_degenerate": bool(degenerate[0]),
+            "any_arm_degenerate": bool(degenerate.any()),
         }
-        return (data if config.covariate_in_analysis else data.without_covariates()), flags
 
 
 @dataclass(frozen=True)
@@ -285,7 +275,6 @@ class _Study:
     alpha: float
 
 
-
 def _trial_range(study: _Study, lo: int, hi: int, progress=None) -> list[tuple[dict, dict]]:
     """Flags and per-method results of trials [lo, hi); the worker unit."""
     out = []
@@ -304,14 +293,13 @@ def _chunk_ranges(n: int, workers: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + per, n)) for lo in range(0, n, per)]
 
 
-def _run_study(study: _Study, workers: int, progress, **fields) -> StudyResult:
+def _run_study(study: _Study, workers: int, progress, time_trend: str) -> StudyResult:
     """Run every trial of a study and summarize each method.
 
     Per-trial RNG substreams make the result identical for any worker
     count (at least 1); chunks are merged back in trial order.
     ``progress`` logs every that many trials on one worker, and each
-    finished chunk on several.  ``fields`` fill the rest of the
-    :class:`StudyResult`.
+    finished chunk on several.
     """
     n = study.n_sim
     if workers < 1:
@@ -361,8 +349,8 @@ def _run_study(study: _Study, workers: int, progress, **fields) -> StudyResult:
                   for key in trials[0][0]}
     return StudyResult(
         name=study.name, sample_size=study.spec.n, procedure=study.spec.procedure,
-        alpha=study.alpha, n_sim=n, seed=study.seed, methods=summaries,
-        separation=separation, p_values=p_values, **fields,
+        time_trend=time_trend, alpha=study.alpha, n_sim=n, seed=study.seed,
+        methods=summaries, separation=separation, p_values=p_values,
     )
 
 
@@ -375,8 +363,7 @@ def run_power_study(config: ScenarioConfig, workers: int = 1, progress=None) -> 
     """
     study = _Study(config.name, _BinaryTrials(config), config.spec, config.methods,
                    config.candidates, config.seed, config.n_sim, config.alpha)
-    return _run_study(study, workers, progress, time_trend=config.time_trend,
-                      p0=config.p0, pk=config.pk, n_rand=config.n_rand)
+    return _run_study(study, workers, progress, config.time_trend)
 
 
 @dataclass
@@ -443,12 +430,8 @@ def simulate_from_potential_outcomes(
     """
     study = _replay_study(table, spec, methods, candidates, alpha, n_sim, seed,
                           include_baseline_covariate, sort_by_baseline, name)
-    return _run_study(
-        study, workers, progress,
-        time_trend="sorted_baseline" if sort_by_baseline else "none",
-        p0=float("nan"), pk=float("nan"),
-        n_rand=max((m.n_rand for m in methods if m.is_randomization), default=0),
-    )
+    return _run_study(study, workers, progress,
+                      "sorted_baseline" if sort_by_baseline else "none")
 
 
 def _replay_study(table, spec, methods, candidates, alpha, n_sim, seed,
@@ -564,6 +547,7 @@ def _model_dict(model: CandidateModel) -> dict:
 
 
 _SPEC_KEYS = ("doses", "procedure", "n", "targets", "block", "weights")
+_SCENARIO_KEYS = {f.name for f in fields(ScenarioConfig)} - {"spec"} | set(_SPEC_KEYS)
 _REPLAY_KEYS = {
     "name", "potential_outcomes", "endpoint", "candidates", "seed", "n_sim", "n_rand",
     "methods", "alpha", "include_baseline_covariate", "sort_by_baseline", *_SPEC_KEYS,
@@ -571,64 +555,75 @@ _REPLAY_KEYS = {
 _ANALYSIS_KEYS = {"method", "n_rand", "seed", "pvalue_rule", "endpoint", "candidates",
                   *_SPEC_KEYS}
 _CONTRASTS_KEYS = {"candidates", "arm_sizes", "covariance", *_SPEC_KEYS}
-
-
-def spec_from_dict(d: dict) -> RandomizationSpec:
-    """The randomization procedure a config declares under ``_SPEC_KEYS``."""
-    # counts and enumerate read no other keys, so they would run CR probs as equal allocation.
-    if "probs" in d:
-        raise ValueError("probs is not a config field; give CR allocation as integer weights")
-    design = {key: tuple(d[key]) for key in ("targets", "block", "weights") if key in d}
-    return RandomizationSpec(procedure=d["procedure"], grid=DoseGrid(doses=tuple(d["doses"])),
-                             n=_config_value(d, "n", int), **design)
-
-
+# The kind of every typed field, in whichever config format or method entry gives it.
+_FIELD_KINDS = {
+    **dict.fromkeys(("n_sim", "n_rand", "seed"), int),
+    **dict.fromkeys(("alpha", "p0", "pk", "emax_ed50", "covariate_coef"), float),
+    **dict.fromkeys(("covariate_in_analysis", "include_baseline_covariate",
+                     "sort_by_baseline"), bool),
+    "name": str,
+}
 _KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
           str: "a non-empty name without a path separator"}
 
 
-def _config_value(d: dict, key: str, kind: type, default=None):
-    """Config field ``key`` read as ``kind``; without a ``default`` the field is required.
+def _checked(d: dict, known: set[str], what: str) -> dict:
+    """``d`` with each ``_FIELD_KINDS`` field it gives checked and converted to its kind.
 
-    ``int`` takes integers, and a ``seed`` must be at least 0; ``float``
-    takes finite numbers, integers included; ``bool`` takes JSON
-    booleans; ``str`` takes a name for output files, non-empty and with
-    no path separator.  Anything else raises a ValueError naming the
-    field.
+    Keys outside ``known`` raise a ValueError listing them.  ``int``
+    takes integers, and a ``seed`` must be at least 0; ``float`` takes
+    finite numbers, integers included; ``bool`` takes JSON booleans;
+    ``str`` takes a name for output files, non-empty and with no path
+    separator.  Anything else raises a ValueError naming the field.
     """
-    val = d[key] if default is None else d.get(key, default)
-    if kind is bool or isinstance(val, bool):
-        ok = kind is bool and isinstance(val, bool)
-    elif kind is int:
-        ok = isinstance(val, (int, np.integer))
-    elif kind is float:
-        ok = isinstance(val, (int, float, np.integer, np.floating)) and np.isfinite(val)
-    else:
-        ok = isinstance(val, str) and val != "" and "/" not in val and "\\" not in val
-    if not ok:
-        raise ValueError(f"{key} must be {_KINDS[kind]}, not {val!r}")
-    if key == "seed" and val < 0:
-        raise ValueError(f"seed must be at least 0, not {val}")
-    return kind(val)
-
-
-def _reject_unknown(d: dict, known: set[str], what: str) -> None:
     unknown = set(d) - known
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    out = dict(d)
+    for key in filter(_FIELD_KINDS.__contains__, d):
+        kind, val = _FIELD_KINDS[key], d[key]
+        if kind is bool or isinstance(val, bool):
+            ok = kind is bool and isinstance(val, bool)
+        elif kind is int:
+            ok = isinstance(val, (int, np.integer))
+        elif kind is float:
+            ok = isinstance(val, (int, float, np.integer, np.floating)) and np.isfinite(val)
+        else:
+            ok = isinstance(val, str) and val != "" and "/" not in val and "\\" not in val
+        if not ok:
+            raise ValueError(f"{key} must be {_KINDS[kind]}, not {val!r}")
+        if key == "seed" and val < 0:
+            raise ValueError(f"seed must be at least 0, not {val}")
+        out[key] = kind(val)
+    return out
+
+
+def _spec(d: dict) -> RandomizationSpec:
+    """The randomization procedure a checked config declares under ``_SPEC_KEYS``."""
+    design = {key: d[key] for key in ("targets", "block", "weights") if key in d}
+    return RandomizationSpec(procedure=d["procedure"], grid=DoseGrid(doses=tuple(d["doses"])),
+                             n=d["n"], **design)
+
+
+def spec_from_dict(d: dict) -> RandomizationSpec:
+    """The randomization procedure of a config in any format; a key no format knows raises."""
+    return _spec(_checked(d, _SCENARIO_KEYS | _REPLAY_KEYS | _ANALYSIS_KEYS | _CONTRASTS_KEYS,
+                          "config"))
 
 
 def _methods_from_entries(entries, n_rand: int) -> tuple[TestMethod, ...]:
     """Methods from id strings or ``{"id": ..., <TestMethod field>: ...}`` entries.
 
-    ``n_rand`` applies to every entry that does not set its own.
+    ``n_rand`` applies to every entry that does not set its own.  An
+    empty list raises.
     """
     methods = []
     for entry in entries:
-        entry = {"id": entry} if isinstance(entry, str) else dict(entry)
-        _reject_unknown(entry, {f.name for f in fields(TestMethod)}, "method entry")
-        entry["n_rand"] = _config_value(entry, "n_rand", int, n_rand)
-        methods.append(TestMethod(**entry))
+        entry = _checked({"id": entry} if isinstance(entry, str) else entry,
+                         {f.name for f in fields(TestMethod)}, "method entry")
+        methods.append(TestMethod(**{"n_rand": n_rand, **entry}))
+    if not methods:
+        raise ValueError("methods must list at least one method")
     ids = [m.id for m in methods]
     duplicated = sorted({mid for mid in ids if ids.count(mid) > 1})
     if duplicated:
@@ -637,31 +632,26 @@ def _methods_from_entries(entries, n_rand: int) -> tuple[TestMethod, ...]:
 
 
 def _candidates(d: dict, grid: DoseGrid, default: CandidateSet) -> CandidateSet:
-    """The config's ``candidates``, else ``default``; a constant candidate raises."""
-    candidates = candidate_set_from_config(d["candidates"]) if d.get("candidates") else default
+    """The config's ``candidates``, else ``default``; an empty list or constant candidate raises."""
+    candidates = candidate_set_from_config(d["candidates"]) if "candidates" in d else default
     shape_matrix(candidates, grid)
     return candidates
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    _reject_unknown(d, {f.name for f in fields(ScenarioConfig)} - {"spec"} | set(_SPEC_KEYS),
-                    "scenario config")
+    d = _checked(d, _SCENARIO_KEYS, "scenario config")
     if "name" not in d:
         raise ValueError("scenario config is missing the required field 'name'")
-    entries = d.get("methods") or ()
+    entries = d.get("methods", ())
     if any(isinstance(e, dict) and "n_rand" in e for e in entries):
         raise ValueError("a scenario method entry cannot set n_rand: "
                          "the scenario's n_rand governs every method")
-    spec = spec_from_dict(d)
-    n_rand = _config_value(d, "n_rand", int, 1000)
-    kinds = {"name": str, "n_sim": int, "seed": int, "covariate_in_analysis": bool,
-             **dict.fromkeys(("alpha", "p0", "pk", "emax_ed50", "covariate_coef"), float)}
-    rest = {key: _config_value(d, key, kinds[key]) if key in kinds else val
-            for key, val in d.items()
-            if key not in (*_SPEC_KEYS, "n_rand", "methods", "candidates")}
+    spec = _spec(d)
+    rest = {key: val for key, val in d.items() if key not in (*_SPEC_KEYS, "methods", "candidates")}
     return ScenarioConfig(
-        spec=spec, n_rand=n_rand, methods=_methods_from_entries(entries, n_rand),
-        candidates=_candidates(d, spec.grid, default_candidate_set()), **rest,
+        spec=spec, candidates=_candidates(d, spec.grid, default_candidate_set()),
+        methods=_methods_from_entries(entries, d.get("n_rand", 1000)) if "methods" in d else (),
+        **rest,
     )
 
 
@@ -671,22 +661,21 @@ def replay_from_dict(d: dict, base: Path) -> dict:
     A relative ``potential_outcomes`` path is taken from ``base``.  Every
     check the study makes before its first trial runs here too.
     """
-    _reject_unknown(d, _REPLAY_KEYS, "potential-outcomes config")
-    spec = spec_from_dict(d)
-    n_rand = _config_value(d, "n_rand", int, 1000)
+    d = _checked(d, _REPLAY_KEYS, "potential-outcomes config")
+    spec = _spec(d)
     study = {
         "table": read_potential_outcomes_csv(base / d["potential_outcomes"],
                                              endpoint=d.get("endpoint", "continuous")),
         "spec": spec,
         "methods": _methods_from_entries(d.get("methods", ["population", "residual_mle"]),
-                                         n_rand),
+                                         d.get("n_rand", 1000)),
         "candidates": _candidates(d, spec.grid, wide_range_candidate_set(spec.grid.doses[-1])),
-        "alpha": _config_value(d, "alpha", float, 0.05),
-        "n_sim": _config_value(d, "n_sim", int, 1000),
-        "seed": _config_value(d, "seed", int, 1),
-        "include_baseline_covariate": _config_value(d, "include_baseline_covariate", bool, True),
-        "sort_by_baseline": _config_value(d, "sort_by_baseline", bool, False),
-        "name": _config_value(d, "name", str, "potential_outcomes"),
+        "alpha": d.get("alpha", 0.05),
+        "n_sim": d.get("n_sim", 1000),
+        "seed": d.get("seed", 1),
+        "include_baseline_covariate": d.get("include_baseline_covariate", True),
+        "sort_by_baseline": d.get("sort_by_baseline", False),
+        "name": d.get("name", "potential_outcomes"),
     }
     _replay_study(**study)
     return study
@@ -694,13 +683,12 @@ def replay_from_dict(d: dict, base: Path) -> dict:
 
 def analysis_from_dict(d: dict) -> tuple[RandomizationSpec, TestMethod, CandidateSet, str, int]:
     """Procedure, method, candidates, endpoint and seed of an analysis config."""
-    _reject_unknown(d, _ANALYSIS_KEYS, "analysis config")
-    spec = spec_from_dict(d)
-    method = TestMethod(id=d.get("method", "residual_firth"),
-                        n_rand=_config_value(d, "n_rand", int, 1000),
+    d = _checked(d, _ANALYSIS_KEYS, "analysis config")
+    spec = _spec(d)
+    method = TestMethod(id=d.get("method", "residual_firth"), n_rand=d.get("n_rand", 1000),
                         pvalue_rule=d.get("pvalue_rule", "plain"))
     return (spec, method, _candidates(d, spec.grid, default_candidate_set()),
-            d.get("endpoint", "binary"), _config_value(d, "seed", int, 1))
+            d.get("endpoint", "binary"), d.get("seed", 1))
 
 
 def contrasts_from_dict(d: dict) -> tuple[DoseGrid, ContrastMatrix]:
@@ -709,10 +697,10 @@ def contrasts_from_dict(d: dict) -> tuple[DoseGrid, ContrastMatrix]:
     It weights by the config's ``arm_sizes`` or ``covariance``, else by
     the expected arm sizes of its procedure.
     """
-    _reject_unknown(d, _CONTRASTS_KEYS, "contrasts config")
+    d = _checked(d, _CONTRASTS_KEYS, "contrasts config")
     grid = DoseGrid(doses=tuple(d["doses"]))
     candidates = _candidates(d, grid, default_candidate_set())
     arm_sizes, covariance = d.get("arm_sizes"), d.get("covariance")
     if arm_sizes is None and covariance is None:
-        arm_sizes = spec_from_dict(d).expected_arm_sizes()
+        arm_sizes = _spec(d).expected_arm_sizes()
     return grid, contrast_matrix(candidates, grid, arm_sizes=arm_sizes, covariance=covariance)

@@ -37,7 +37,7 @@ from randmcp.presets import load_preset
 from randmcp.randomization import RandomizationSpec, count_sequences
 from randmcp.rng import substream
 from randmcp.simulate import (
-    _trial_diagnostics,
+    _BinaryTrials,
     generate_binary_trial,
     run_power_study,
     simulate_from_potential_outcomes,
@@ -104,12 +104,12 @@ def test_criterion_2_separation_frequencies():
         placebo = 0
         comp = 0
         quasi = 0
+        trials = _BinaryTrials(config)
         for trial in range(n_sim):
-            data = generate_binary_trial(config, substream(config.seed, 0, trial))
-            diag = _trial_diagnostics(data, True)
-            placebo += diag["placebo_degenerate"]
-            comp += diag["separation_code"] == 2
-            quasi += diag["separation_code"] == 1
+            flags = trials(trial)[1]
+            placebo += flags["placebo_degenerate"]
+            comp += flags["complete"]
+            quasi += flags["quasicomplete"]
         observed[n] = 100.0 * placebo / n_sim
         complete[n] = 100.0 * comp / n_sim
         nonexistent[n] = 100.0 * (comp + quasi) / n_sim

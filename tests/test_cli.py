@@ -162,12 +162,6 @@ class TestSimulateCommand:
                        "--out", str(tmp_path / "o"), "--workers", "1") == 2
         assert not (tmp_path / "o").exists()
 
-    def test_unknown_replay_config_field_exits_2(self, replay_config, tmp_path, capsys):
-        assert run_cli("simulate", "--config", str(replay_config(alpah=0.5)),
-                       "--out", str(tmp_path / "o"), "--workers", "1") == 2
-        assert "alpah" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     def test_replay_without_methods_exits_2_before_any_trial(self, replay_config, tmp_path,
                                                                capsys):
         assert run_cli("simulate", "--config", str(replay_config(methods=[])),
@@ -190,17 +184,13 @@ class TestSimulateCommand:
                                    "n": 4}))
         assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
 
-    @pytest.mark.parametrize("change, field", [
-        ({"typo_field": 3}, "typo_field"),
-        ({"methods": [{"id": "glm_mle", "bogus": 1}]}, "bogus"),
-    ])
-    def test_unknown_config_field_exits_2(self, tiny_scenario, tmp_path, capsys, change, field):
+    def test_unknown_method_entry_field_exits_2(self, tiny_scenario, tmp_path, capsys):
         config = json.loads(tiny_scenario.read_text())
-        config.update(change)
+        config["methods"] = [{"id": "glm_mle", "bogus": 1}]
         tiny_scenario.write_text(json.dumps(config))
         assert run_cli("simulate", "--config", str(tiny_scenario),
                        "--out", str(tmp_path / "o"), "--workers", "1") == 2
-        assert field in capsys.readouterr().err
+        assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_constant_candidate_exits_2(self, tiny_scenario, tmp_path, capsys):
@@ -484,15 +474,6 @@ class TestAnalyzeCommand:
         assert "flat_line" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_config_field_exits_2(self, two_arm_config, tmp_path, capsys):
-        config = json.loads(two_arm_config.read_text())
-        config["pvalue_rlue"] = "add_one"
-        two_arm_config.write_text(json.dumps(config))
-        trial = tmp_path / "trial.csv"
-        write_two_arm_trial(trial, [1, 0, 1, 0, 1, 0, 1, 0])
-        assert run_cli("analyze", "--data", str(trial), "--config", str(two_arm_config)) == 2
-        assert "pvalue_rlue" in capsys.readouterr().err
-
     def test_add_one_rule_on_population_exits_2(self, two_arm_config, tmp_path, capsys):
         config = json.loads(two_arm_config.read_text())
         config.update(method="population", pvalue_rule="add_one")
@@ -563,16 +544,12 @@ class TestContrastsCommand:
             assert np.linalg.norm(values) == pytest.approx(1.0, abs=1e-10)
 
 
-    @pytest.mark.parametrize("config, field", [
-        ({"doses": [0.0, 100.0], "arm_sizez": [4, 4]}, "arm_sizez"),
-        ({"doses": [0.0, 100.0], "arm_sizes": [4, 4], "covariance": [[1, 0], [0, 1]]},
-         "covariance"),
-    ])
-    def test_bad_config_field_exits_2(self, tmp_path, capsys, config, field):
+    def test_arm_sizes_and_covariance_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "contrasts.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(json.dumps({"doses": [0.0, 100.0], "arm_sizes": [4, 4],
+                                   "covariance": [[1, 0], [0, 1]]}))
         assert run_cli("contrasts", "--config", str(cfg)) == 2
-        assert field in capsys.readouterr().err
+        assert "covariance" in capsys.readouterr().err
 
 
 class TestCrAllocation:
@@ -680,6 +657,92 @@ class TestEnumerateCommand:
         out.write_text("kept\n")
         assert run_cli("enumerate", "--config", str(cfg), "--out", str(out), "--cap", "1000") == 3
         assert out.read_text() == "kept\n"
+
+
+# What each kind-table field must be, and a value of the wrong kind.
+KIND_CASES = {
+    **dict.fromkeys(("n_sim", "n_rand", "seed"), ("an integer", 2.5)),
+    **dict.fromkeys(("alpha", "p0", "pk", "emax_ed50", "covariate_coef"),
+                    ("a finite number", "0.5")),
+    **dict.fromkeys(("covariate_in_analysis", "include_baseline_covariate",
+                     "sort_by_baseline"), ("true or false", 1)),
+    "name": ("a non-empty name without a path separator", "a/b"),
+}
+
+
+class TestConfigCheck:
+    """Every command checks its config's keys and field kinds before it writes anything."""
+
+    DESIGN = {"doses": [0.0, 10.0, 25.0], "procedure": "cr", "n": 3}
+
+    @pytest.fixture
+    def run_with(self, tiny_scenario, replay_config, two_arm_config, tmp_path, capsys):
+        """Run ``command`` on its config with ``change``; returns (exit code, stderr).
+
+        Asserts that the run wrote nothing: no output file and no stdout.
+        """
+        def run(command, change):
+            out = tmp_path / "out"
+            if command == "scenario":
+                path, argv = tiny_scenario, ["simulate", "--out", str(out), "--workers", "1"]
+            elif command == "replay":
+                path, argv = replay_config(), ["simulate", "--out", str(out), "--workers", "1"]
+            elif command == "analyze":
+                trial = tmp_path / "trial.csv"
+                write_two_arm_trial(trial, [1, 0, 1, 1, 0, 1, 0, 0])
+                path, argv = two_arm_config, ["analyze", "--data", str(trial), "--out", str(out)]
+            else:
+                path = tmp_path / f"{command}.json"
+                path.write_text(json.dumps(self.DESIGN))
+                argv = [command] + (["--out", str(out)] if command != "counts" else [])
+            config = json.loads(path.read_text())
+            config.update(change)
+            path.write_text(json.dumps(config))
+            code = run_cli(*argv, "--config", str(path))
+            captured = capsys.readouterr()
+            assert captured.out == "" and not out.exists()
+            return code, captured.err
+
+        return run
+
+    @pytest.mark.parametrize("command, typo", [
+        ("scenario", "typo_field"), ("replay", "alpah"), ("analyze", "pvalue_rlue"),
+        ("contrasts", "arm_sizez"), ("counts", "weigths"), ("enumerate", "weigths"),
+    ])
+    def test_misspelled_key_exits_2_naming_it(self, run_with, command, typo):
+        code, err = run_with(command, {typo: [1, 2, 2]})
+        assert code == 2 and f"fields: ['{typo}']" in err
+
+    @pytest.mark.parametrize("command", ["counts", "enumerate"])
+    @pytest.mark.parametrize("field", KIND_CASES)
+    def test_wrong_kind_exits_2_naming_the_field(self, run_with, command, field):
+        # These commands read any format's config; the mistyped-field tests
+        # above cover the scenario, replay and analysis formats.
+        kind, bad = KIND_CASES[field]
+        code, err = run_with(command, {field: bad})
+        assert code == 2 and f"{field} must be {kind}, not {bad!r}" in err
+
+    @pytest.mark.parametrize("command", ["counts", "enumerate", "scenario", "analyze"])
+    @pytest.mark.parametrize("change, message", [
+        ({"procedure": "cr", "weights": [1.5, 2, 2]}, "weights must list integers"),
+        ({"procedure": "ra", "n": 5, "targets": [1.9, 2.1, 1]}, "targets must list integers"),
+        ({"procedure": "pbd", "block": [1.0, 1, 1]}, "block must list integers"),
+    ])
+    def test_non_integer_design_counts_exit_2(self, run_with, command, change, message):
+        change = {"doses": [0.0, 10.0, 25.0], "n": 3, **change}
+        for other in {"targets", "block", "weights"} - set(change):
+            change[other] = None
+        code, err = run_with(command, change)
+        assert code == 2 and message in err and "(1, 2" not in err
+
+    def test_empty_scenario_methods_exit_2(self, run_with):
+        code, err = run_with("scenario", {"methods": []})
+        assert code == 2 and "at least one method" in err
+
+    @pytest.mark.parametrize("command", ["scenario", "replay", "analyze", "contrasts"])
+    def test_empty_candidates_exit_2(self, run_with, command):
+        code, err = run_with(command, {"candidates": []})
+        assert code == 2 and "at least one model" in err
 
 
 def _pinned_json(path):

@@ -57,6 +57,40 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown procedure"):
             RandomizationSpec(procedure="urn", grid=GRID2, n=10)
 
+    @pytest.mark.parametrize("field, design", [
+        ("n", dict(procedure="cr", n=4.0)),
+        ("n", dict(procedure="cr", n=True)),
+        ("weights", dict(procedure="cr", n=4, weights=(1.5, 2))),
+        ("weights", dict(procedure="cr", n=4, weights=(True, 2))),
+        ("targets", dict(procedure="ra", n=4, targets=(1.9, 2.1))),
+        ("targets", dict(procedure="ra", n=4, targets=(2.0, 2))),
+        ("block", dict(procedure="pbd", n=4, block=(1, 1.0))),
+        ("block", dict(procedure="pbd", n=4, block=(np.float64(1), 1))),
+    ])
+    def test_non_integer_design_counts_raise_naming_the_field(self, field, design):
+        with pytest.raises(ValueError, match=rf"^{field} must"):
+            RandomizationSpec(grid=GRID2, **design)
+
+    @pytest.mark.parametrize("design", [
+        dict(procedure="pbd", n=8, block=(1, 1, 1, 1)),
+        dict(procedure="ra", n=7, targets=(1, 2, 2, 2)),
+        dict(procedure="cr", n=5, weights=(1, 2, 2, 2)),
+    ])
+    def test_numpy_integer_counts_give_the_same_design(self, design):
+        spec = RandomizationSpec(grid=GRID4, **design)
+        as_numpy = dict(design, n=np.int64(design["n"]))
+        for name in ("targets", "block", "weights"):
+            if name in design:
+                as_numpy[name] = np.array(design[name], dtype=np.int32)
+        same = RandomizationSpec(grid=GRID4, **as_numpy)
+        assert same == spec and type(same.n) is int
+        assert count_sequences(same) == count_sequences(spec)
+        assert np.array_equal(sample_sequences(same, 50, substream(6, 1)),
+                              sample_sequences(spec, 50, substream(6, 1)))
+        for (arms, probs), (arms_same, probs_same) in zip(enumerate_sequences(spec),
+                                                          enumerate_sequences(same)):
+            assert np.array_equal(arms, arms_same) and np.array_equal(probs, probs_same)
+
 
 class TestCounts:
     def test_trial_pbd_count_exact(self):

@@ -17,7 +17,7 @@ from randmcp.randomization import RandomizationSpec
 from randmcp.rng import substream
 from randmcp.simulate import (
     ScenarioConfig,
-    _trial_diagnostics,
+    _BinaryTrials,
     generate_binary_trial,
     linear_time_trend,
     run_power_study,
@@ -136,7 +136,7 @@ class TestTrialDataset:
 
 class TestTrialDiagnostics:
     @pytest.mark.parametrize("failing_arm, expected", [(None, "none"), (1, "quasicomplete")])
-    def test_empty_arm_without_covariate_matches_lp(self, failing_arm, expected):
+    def test_empty_arm_without_covariate_matches_lp(self, monkeypatch, failing_arm, expected):
         # Complete randomization can leave an arm empty: here the top arm.
         arms = np.repeat([0, 1, 2], 6)
         y = np.tile([0.0, 1.0], 9)
@@ -144,9 +144,16 @@ class TestTrialDiagnostics:
             y[arms == failing_arm] = 0.0
         x = substream(3, 0).normal(size=(18, 1))
         data = TrialDataset(arms=arms, outcomes=y, covariates=x, grid=GRID4, endpoint="binary")
-        diag = _trial_diagnostics(data, False)
+        monkeypatch.setattr(simulate, "generate_binary_trial", lambda config, rng: data)
+        analysed, flags = _BinaryTrials(trial_config(covariate_in_analysis=False))(0)
         lp = separation_lp(design_from_assignments(arms, 4), y)
-        assert SEP_NAMES[diag["separation_code"]] == lp == expected
+        found = "complete" if flags["complete"] else \
+            "quasicomplete" if flags["quasicomplete"] else "none"
+        assert found == lp == expected
+        assert flags["mle_nonexistent"] == (expected != "none")
+        assert flags["any_arm_degenerate"] == (failing_arm is not None)
+        assert not flags["placebo_degenerate"]
+        assert analysed.n_covariates == 0
 
 
 class TestPowerStudy:
